@@ -96,6 +96,12 @@ def test_single_point_grid():
     assert sc.distances_cm() == [650.0]
 
 
+def test_grid_keeps_stop_lost_to_float_noise():
+    # 0.3 / 0.1 == 2.9999999999999996; a plain floor would drop the stop point
+    sc = parse_scenario(scenario_text(d_start=0, d_stop=0.3, d_step=0.1))
+    assert len(sc.distances_cm()) == 4
+
+
 # ---------------------------------------------------------------------- sweep
 
 

@@ -84,6 +84,12 @@ def test_corrupt_bits_budget_covers_everything():
     assert sim.corrupt_bits(30, 8, 0.3, 1000, 1.0, rng).size == 30
 
 
+def test_corrupt_bits_budget_snaps_float_noise():
+    rng = np.random.default_rng(6)
+    # 0.57 * 100 == 56.99999999999999; the budget is 57 and cleans all 57 flips
+    assert sim.corrupt_bits(57, 1, 1.0, 100, 0.57, rng).size == 57
+
+
 def test_corrupt_bits_mean_matches_analytic_model():
     rng = np.random.default_rng(5)
     k_ps = 30 * 0.5821232558667687
