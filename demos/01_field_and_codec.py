@@ -17,7 +17,7 @@ print("=" * 72)
 print("GF(2^8) BASICS")
 print("=" * 72)
 print(f"reduction polynomial: 0x{gf256.POLY:X}, table generator: 0x{gf256.GENERATOR:02X}")
-print(f"0x53 + 0xCA = 0x{gf256.add(0x53, 0xCA):02X}   (XOR)")
+print(f"0x53 + 0xCA = 0x{0x53 ^ 0xCA:02X}   (XOR)")
 print(f"0x53 * 0xCA = 0x{gf256.mul(0x53, 0xCA):02X}   (so 0xCA is the inverse of 0x53)")
 print(f"inv(0x53)   = 0x{gf256.inv(0x53):02X}")
 

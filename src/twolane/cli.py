@@ -93,11 +93,6 @@ def _emit(rows, write_csv, out_path) -> None:
         write_csv(rows, sys.stdout)
 
 
-def _warn_errors(errors) -> None:
-    for e in errors:
-        print(f"warning: d_main={e.d_main_cm} cm skipped: {e.message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -122,27 +117,23 @@ def main(argv=None) -> int:
 
         if args.command == "sweep":
             rows, errors = sweep(sc, table, interpolate=args.interpolate)
-            _warn_errors(errors)
-            if not rows and errors:
-                print("error: every sweep point is infeasible", file=sys.stderr)
-                return 2
-            _emit(rows, write_sweep_csv, out_path)
-            return 0
-
-        # simulate
-        rows, errors = simulate(
-            sc,
-            table,
-            generations=args.generations,
-            mode=args.mode,
-            interpolate=args.interpolate,
-            seed=args.seed,
-        )
-        _warn_errors(errors)
+            write_csv = write_sweep_csv
+        else:
+            rows, errors = simulate(
+                sc,
+                table,
+                generations=args.generations,
+                mode=args.mode,
+                interpolate=args.interpolate,
+                seed=args.seed,
+            )
+            write_csv = write_sim_csv
+        for e in errors:
+            print(f"warning: d_main={e.d_main_cm} cm skipped: {e.message}", file=sys.stderr)
         if not rows and errors:
             print("error: every sweep point is infeasible", file=sys.stderr)
             return 2
-        _emit(rows, write_sim_csv, out_path)
+        _emit(rows, write_csv, out_path)
         return 0
     except (ScenarioError, BerTableError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

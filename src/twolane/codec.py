@@ -25,19 +25,13 @@ from . import gf256
 class DecodeError(Exception):
     """Base class for per-generation decode failures."""
 
-    code = "decode failure"
-
 
 class InsufficientSymbolsError(DecodeError):
     """Fewer than K symbols of the generation were received."""
 
-    code = "insufficient symbols"
-
 
 class SingularSystemError(DecodeError):
     """At least K symbols received, but their coefficient rows have rank < K."""
-
-    code = "singular system"
 
 
 @dataclass(frozen=True)

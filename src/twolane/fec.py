@@ -21,16 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Absolute slack when flooring/ceiling quantities that are integers in exact
-# arithmetic but arrive with float representation noise (e.g. 240/0.8).
-_INT_EPS = 1e-9
 
+def snap(x: float) -> float:
+    """``x`` as the nearest integer when within 1e-9 of it, else ``x`` unchanged.
 
-def _floor_int(x: float) -> int:
+    Quantities that are integers in exact arithmetic can arrive with float
+    representation noise (e.g. 240/0.8); snap them before ``math.floor`` or
+    ``math.ceil`` so the noise cannot move the result by one.
+    """
     nearest = round(x)
-    if abs(x - nearest) < _INT_EPS:
-        return int(nearest)
-    return math.floor(x)
+    return nearest if abs(x - nearest) < 1e-9 else x
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class FecDerived:
 def hamming_distance(params: FecParams) -> int:
     """Redundancy bits the FEC adds to one generation block, floored to an int."""
     bits = params.k * params.s
-    return _floor_int(bits / params.code_rate - bits)
+    return math.floor(snap(bits / params.code_rate - bits))
 
 
 def correctable_bits(delta_min: int) -> int:

@@ -48,11 +48,6 @@ INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[1:]]
 
 
-def add(a, b):
-    """Field addition: bitwise XOR. Works on ints and uint8 arrays alike."""
-    return a ^ b
-
-
 def mul(a: int, b: int) -> int:
     """Product of two field elements."""
     if not (0 <= a <= 255 and 0 <= b <= 255):
@@ -67,8 +62,3 @@ def inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse for zero")
     return int(INV[a])
-
-
-def mul_bytes(coeff: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of a uint8 array by the field element ``coeff``."""
-    return MUL[coeff, data]

@@ -21,22 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fec import FecDerived, FecParams, derive
+from .fec import FecDerived, FecParams, derive, snap
 
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
-
-_INT_EPS = 1e-9
 
 
 class InfeasibleAuxDistanceError(ValueError):
     """Auxiliary distance at or beyond the delay-matching feasibility bound."""
-
-
-def _ceil_int(x: float) -> int:
-    nearest = round(x)
-    if abs(x - nearest) < _INT_EPS:
-        return int(nearest)
-    return math.ceil(x)
 
 
 @dataclass(frozen=True)
@@ -47,15 +38,12 @@ class LinkParams:
     main_rate: float  # bits/s on the main lane
     main_distance: float  # m
     aux_distance: float  # m
-    light_speed: float = LIGHT_SPEED
 
     def __post_init__(self):
         if self.main_rate <= 0:
             raise ValueError("main_rate must be > 0")
         if self.main_distance < 0 or self.aux_distance < 0:
             raise ValueError("distances must be >= 0")
-        if self.light_speed != LIGHT_SPEED:
-            raise ValueError(f"light_speed is fixed at {LIGHT_SPEED!r} m/s")
 
 
 @dataclass(frozen=True)
@@ -87,7 +75,7 @@ def redundancy(residual_ser: float, k: int) -> int:
         raise ValueError("residual_ser must be in [0, 1]")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return max(0, _ceil_int(residual_ser * k))
+    return max(0, math.ceil(snap(residual_ser * k)))
 
 
 def total_code_rate(k: int, r: int, code_rate: float) -> float:
@@ -113,19 +101,19 @@ def lane_times(link: LinkParams, r: int, aux_rate: float) -> tuple[float, float]
     reported as 0.
     """
     p = link.fec
-    t_main = p.k * p.s / (p.code_rate * link.main_rate) + link.main_distance / link.light_speed
+    t_main = p.k * p.s / (p.code_rate * link.main_rate) + link.main_distance / LIGHT_SPEED
     if r == 0:
         return t_main, 0.0
     if aux_rate <= 0:
         raise ValueError("auxiliary lane required: redundancy > 0 but its rate is 0")
-    t_aux = r * p.s / (p.code_rate * aux_rate) + link.aux_distance / link.light_speed
+    t_aux = r * p.s / (p.code_rate * aux_rate) + link.aux_distance / LIGHT_SPEED
     return t_main, t_aux
 
 
 def aux_distance_bound(link: LinkParams) -> float:
     """Strict upper bound on the auxiliary distance for delay matching."""
     p = link.fec
-    return p.k * p.s * link.light_speed / (p.code_rate * link.main_rate) + link.main_distance
+    return p.k * p.s * LIGHT_SPEED / (p.code_rate * link.main_rate) + link.main_distance
 
 
 def aux_rate(link: LinkParams, r: int) -> float:
@@ -141,7 +129,7 @@ def aux_rate(link: LinkParams, r: int) -> float:
     p = link.fec
     denom = (
         p.code_rate * link.main_rate * (link.main_distance - link.aux_distance)
-        + link.light_speed * p.k * p.s
+        + LIGHT_SPEED * p.k * p.s
     )
     if denom <= 0:
         raise InfeasibleAuxDistanceError(
@@ -150,7 +138,7 @@ def aux_rate(link: LinkParams, r: int) -> float:
         )
     if r == 0:
         return 0.0
-    return r * p.s * link.light_speed * link.main_rate / denom
+    return r * p.s * LIGHT_SPEED * link.main_rate / denom
 
 
 def plan(link: LinkParams) -> LinkPlan:

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
+from typing import get_type_hints
 
 from .bertable import BerTable
-from .fec import FecParams
+from .fec import FecParams, snap
 from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
 from .sim import SimConfig, SimReport, run
 
@@ -106,7 +108,7 @@ class Scenario:
             raise ScenarioError("d_main_stop_cm must be >= d_main_start_cm")
 
     def distances_cm(self) -> list[float]:
-        n = int(math.floor((self.d_stop_cm - self.d_start_cm) / self.d_step_cm + 1e-9)) + 1
+        n = math.floor(snap((self.d_stop_cm - self.d_start_cm) / self.d_step_cm)) + 1
         return [self.d_start_cm + i * self.d_step_cm for i in range(n)]
 
     def aux_distance_for(self, d_main_cm: float) -> float:
@@ -236,19 +238,10 @@ class SweepRow:
     t_main_s: float
     t_aux_s: float
 
-    def csv_values(self) -> tuple:
-        return (
-            self.d_main_cm,
-            self.p_e,
-            self.p_residual_bit,
-            self.p_residual_symbol,
-            self.redundancy,
-            self.total_rate,
-            self.overhead,
-            self.aux_rate_bps,
-            self.t_main_s,
-            self.t_aux_s,
-        )
+
+# CSV cell order is field order; SWEEP_COLUMNS names the cells.
+_sweep_values = attrgetter(*(f.name for f in fields(SweepRow)))
+_SWEEP_TYPES = tuple(get_type_hints(SweepRow)[f.name] for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -309,31 +302,25 @@ def write_rows_csv(path_or_file, columns, rows_of_values) -> None:
 
 
 def write_sweep_csv(rows: list[SweepRow], path_or_file) -> None:
-    write_rows_csv(path_or_file, SWEEP_COLUMNS, (r.csv_values() for r in rows))
+    write_rows_csv(path_or_file, SWEEP_COLUMNS, map(_sweep_values, rows))
 
 
 def read_sweep_csv(path) -> list[SweepRow]:
     with open(path, "r", encoding="utf-8") as f:
-        lines = [ln for ln in f.read().splitlines() if ln]
-    if not lines or tuple(lines[0].split(",")) != SWEEP_COLUMNS:
+        lines = [(n, ln) for n, ln in enumerate(f.read().splitlines(), start=1) if ln]
+    if not lines or tuple(lines[0][1].split(",")) != SWEEP_COLUMNS:
         raise ScenarioError(f"{path}: not a sweep CSV")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        rows.append(
-            SweepRow(
-                d_main_cm=float(parts[0]),
-                p_e=float(parts[1]),
-                p_residual_bit=float(parts[2]),
-                p_residual_symbol=float(parts[3]),
-                redundancy=int(parts[4]),
-                total_rate=float(parts[5]),
-                overhead=float(parts[6]),
-                aux_rate_bps=float(parts[7]),
-                t_main_s=float(parts[8]),
-                t_aux_s=float(parts[9]),
+        if len(parts) != len(SWEEP_COLUMNS):
+            raise ScenarioError(
+                f"{path}: line {lineno}: expected {len(SWEEP_COLUMNS)} fields, got {len(parts)}"
             )
-        )
+        try:
+            rows.append(SweepRow(*[convert(v) for convert, v in zip(_SWEEP_TYPES, parts)]))
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: line {lineno}: {exc}") from None
     return rows
 
 
@@ -384,21 +371,8 @@ class SimRow:
     singular_failures: int
     mean_lane_skew_s: float
 
-    def csv_values(self) -> tuple:
-        return (
-            self.d_main_cm,
-            self.p_e,
-            self.p_residual_symbol,
-            self.redundancy,
-            self.generations,
-            self.decoded,
-            self.decode_failure_rate,
-            self.analytic_failure_rate,
-            self.observed_erasure_rate,
-            self.insufficient_failures,
-            self.singular_failures,
-            self.mean_lane_skew_s,
-        )
+
+_sim_values = attrgetter(*(f.name for f in fields(SimRow)))
 
 
 def simulate(
@@ -454,4 +428,4 @@ def simulate(
 
 
 def write_sim_csv(rows: list[SimRow], path_or_file) -> None:
-    write_rows_csv(path_or_file, SIM_COLUMNS, (r.csv_values() for r in rows))
+    write_rows_csv(path_or_file, SIM_COLUMNS, map(_sim_values, rows))

@@ -26,8 +26,8 @@ and could be fanned out across workers with order-independent counters.
 Lane timing: both lanes of a generation start transmitting together, so
 the per-generation arrival skew is |t_main - t_aux| for the plan's
 auxiliary rate (zero when that rate came from the delay-matching formula).
-The receive buffer is not bounded; its peak occupancy (received symbols of
-one generation) is only reported.
+The receive buffer is not bounded; the number of symbols received per
+generation is only reported, as a histogram.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .codec import (
     encode,
     make_coefficients,
 )
+from .fec import snap
 from .planner import LinkParams, LinkPlan, lane_times
 
 ERROR_MODES = ("analytic-erasure", "bit-level")
@@ -80,7 +81,6 @@ class SimReport:
     symbol_erasure_rate: float = 0.0  # observed on the main lane
     mean_lane_skew: float = 0.0  # seconds
     received_histogram: dict[int, int] = field(default_factory=dict)
-    peak_buffer_symbols: int = 0
     payload_mismatches: int = 0  # decoded generations differing from ground truth
 
 
@@ -107,7 +107,7 @@ def corrupt_bits(
     """
     if not 0 <= bit_error_rate <= 1:
         raise ValueError("bit_error_rate must be in [0, 1]")
-    budget = int(math.floor(code_rate * correctable + 1e-9))
+    budget = math.floor(snap(code_rate * correctable))
     flips = rng.random((k, s)) < bit_error_rate
     flat = flips.ravel()
     flipped = np.flatnonzero(flat)
@@ -129,9 +129,8 @@ def run(cfg: SimConfig) -> SimReport:
     t_main, t_aux = lane_times(cfg.link, r, cfg.plan.aux_rate)
     skew = abs(t_main - t_aux) if r > 0 else 0.0
 
-    report = SimReport(sent_generations=cfg.generations)
+    report = SimReport(sent_generations=cfg.generations, mean_lane_skew=skew)
     erased_total = 0
-    skew_total = 0.0
 
     for g in range(cfg.generations):
         rng = np.random.default_rng((cfg.rng_seed, g))
@@ -164,7 +163,6 @@ def run(cfg: SimConfig) -> SimReport:
         report.received_histogram[received_count] = (
             report.received_histogram.get(received_count, 0) + 1
         )
-        report.peak_buffer_symbols = max(report.peak_buffer_symbols, received_count)
 
         try:
             out = decode(
@@ -178,10 +176,8 @@ def run(cfg: SimConfig) -> SimReport:
             report.decoded_generations += 1
             if out.symbols != gen.symbols:
                 report.payload_mismatches += 1
-        skew_total += skew
 
     failures = report.insufficient_failures + report.singular_failures
     report.decode_failure_rate = failures / cfg.generations
     report.symbol_erasure_rate = erased_total / (k * cfg.generations)
-    report.mean_lane_skew = skew_total / cfg.generations
     return report

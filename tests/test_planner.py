@@ -215,14 +215,6 @@ def test_link_params_validation():
         link(main_distance=-1.0)
     with pytest.raises(ValueError):
         link(aux_distance=-0.5)
-    with pytest.raises(ValueError, match="fixed"):
-        LinkParams(
-            fec=FecParams(k=30, s=8, code_rate=0.8, bit_error_rate=0.2),
-            main_rate=8e11,
-            main_distance=6.5,
-            aux_distance=1.5,
-            light_speed=2.99e8,
-        )
 
 
 def test_main_rate_from_baud():

@@ -139,7 +139,6 @@ def test_run_auxiliary_lane_always_delivers():
     assert r > 0
     assert min(report.received_histogram) >= r
     assert max(report.received_histogram) <= 30 + r
-    assert report.peak_buffer_symbols <= 30 + r
     assert sum(report.received_histogram.values()) == 300
 
 
