@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -174,36 +175,23 @@ def test_sweep_csv_round_trip(tmp_path):
     assert read_sweep_csv(path) == rows
 
 
-def _sweep_csv_with_row(tmp_path, row):
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("650.0,0.2,0.1", "expected 10 fields, got 3"),
+        ("650.0,0.2,0.1,0.5,16,0.5,0.5,1e9,1e-9,1e-9,7", "expected 10 fields, got 11"),
+        ("650.0,abc,0.1,0.5,16,0.5,0.5,1e9,1e-9,1e-9", "'abc'"),
+        ("650.0,0.2,0.1,0.5,1.5,0.5,0.5,1e9,1e-9,1e-9", "'1.5'"),
+    ],
+    ids=["short", "extra-field", "non-numeric", "fractional-R"],
+)
+def test_read_sweep_csv_rejects_malformed_row(tmp_path, row, message):
     rows, _ = sweep(parse_scenario(scenario_text()), synthetic_ber_table())
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows[:2], path)
     with open(path, "a", encoding="utf-8") as f:
         f.write(row + "\n")
-    return path
-
-
-def test_read_sweep_csv_rejects_short_row(tmp_path):
-    path = _sweep_csv_with_row(tmp_path, "650.0,0.2,0.1")
-    with pytest.raises(ScenarioError, match="line 4: expected 10 fields, got 3"):
-        read_sweep_csv(path)
-
-
-def test_read_sweep_csv_rejects_extra_field(tmp_path):
-    path = _sweep_csv_with_row(tmp_path, "650.0,0.2,0.1,0.5,16,0.5,0.5,1e9,1e-9,1e-9,7")
-    with pytest.raises(ScenarioError, match="line 4: expected 10 fields, got 11"):
-        read_sweep_csv(path)
-
-
-def test_read_sweep_csv_rejects_non_numeric_cell(tmp_path):
-    path = _sweep_csv_with_row(tmp_path, "650.0,abc,0.1,0.5,16,0.5,0.5,1e9,1e-9,1e-9")
-    with pytest.raises(ScenarioError, match="line 4: .*'abc'"):
-        read_sweep_csv(path)
-
-
-def test_read_sweep_csv_rejects_fractional_redundancy(tmp_path):
-    path = _sweep_csv_with_row(tmp_path, "650.0,0.2,0.1,0.5,1.5,0.5,0.5,1e9,1e-9,1e-9")
-    with pytest.raises(ScenarioError, match="line 4: .*'1.5'"):
+    with pytest.raises(ScenarioError, match=f"line 4: .*{re.escape(message)}"):
         read_sweep_csv(path)
 
 
