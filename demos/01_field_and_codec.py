@@ -34,14 +34,14 @@ gen = codec.Generation(
     generation_id=0,
 )
 coeffs = codec.make_coefficients(K, R, seed=7)
-coded_gen = codec.encode(gen, coeffs)
+coded = codec.encode(gen, coeffs)
 
 for i, payload in enumerate(gen.symbols):
     print(f"  native[{i}] = {payload.hex()}")
-for j, payload in enumerate(coded_gen.coded):
-    column = [f"{c:02x}" for c in coeffs.array[:, j]]
+for j, payload in enumerate(coded):
+    column = [f"{c:02x}" for c in coeffs[:, j]]
     print(f"  coded[{j}]  = {payload.hex()}   (column {' '.join(column)})")
-print("natives pass through unchanged:", coded_gen.native == gen.symbols)
+print(f"coefficients: a read-only {coeffs.shape} {coeffs.dtype} array; natives go out unchanged")
 
 print()
 print("=" * 72)
@@ -53,7 +53,7 @@ print(f"main lane loses natives {sorted(erased)}; auxiliary delivers all {R} cod
 entries = [
     codec.ReceivedSymbol("native", i, gen.symbols[i]) for i in range(K) if i not in erased
 ]
-entries += [codec.ReceivedSymbol("coded", j, coded_gen.coded[j]) for j in range(R)]
+entries += [codec.ReceivedSymbol("coded", j, p) for j, p in enumerate(coded)]
 
 stats = codec.DecodeStats()
 out = codec.decode(codec.ReceivedGeneration(tuple(entries)), coeffs, K, stats=stats)

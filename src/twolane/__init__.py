@@ -17,8 +17,6 @@ coded symbols over a slower error-free auxiliary lane:
 
 from .fec import FecDerived, FecParams, derive
 from .codec import (
-    CodedGeneration,
-    CoefficientMatrix,
     DecodeError,
     DecodeStats,
     Generation,
@@ -61,8 +59,6 @@ __all__ = [
     "FecDerived",
     "derive",
     "Generation",
-    "CoefficientMatrix",
-    "CodedGeneration",
     "ReceivedGeneration",
     "ReceivedSymbol",
     "DecodeStats",

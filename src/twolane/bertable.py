@@ -123,6 +123,8 @@ def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
             ber = float(row[3])
         except ValueError as exc:
             raise BerTableError(f"{source}: row {lineno}: {exc}") from None
+        if not math.isfinite(distance):
+            raise BerTableError(f"{source}: row {lineno}: distance_cm {distance} is not finite")
         if not 0 <= ber <= 1:
             raise BerTableError(f"{source}: row {lineno}: p_e {ber} out of [0, 1]")
         points.append(BerPoint(channel, modulation, distance, ber))

@@ -1,15 +1,16 @@
 """Systematic random linear codec over GF(2^8) generations.
 
 A generation is a block of K equal-length byte payloads encoded and decoded
-as one unit. Encoding appends R coded payloads, each a random linear
+as one unit. Encoding computes R coded payloads, each a random linear
 combination of the K natives defined by one column of a K x R coefficient
-matrix; the natives themselves are transmitted unchanged. Decoding recovers
+array; the natives themselves are transmitted unchanged. Decoding recovers
 the K natives from any rank-K subset of received symbols via Gauss-Jordan
 elimination over the field, solving only for the missing natives (natives
 that survived are emitted as-is, without recomputation).
 
-A coefficient matrix is immutable after creation and may be shared freely:
-the same matrix decodes any number of generations independently.
+The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
+returns it read-only, so one array may be shared freely: it decodes any
+number of generations independently.
 """
 
 from __future__ import annotations
@@ -54,60 +55,21 @@ class Generation:
     def k(self) -> int:
         return len(self.symbols)
 
-    @property
-    def payload_len(self) -> int:
-        return len(self.symbols[0])
 
+def make_coefficients(k: int, r: int, seed) -> np.ndarray:
+    """Draw a read-only (K, R) uint8 array of i.i.d. uniform field elements.
 
-class CoefficientMatrix:
-    """K x R field-element matrix; column j defines coded payload j."""
-
-    def __init__(self, array: np.ndarray):
-        arr = np.array(array, dtype=np.uint8, copy=True)
-        if arr.ndim != 2:
-            raise ValueError("coefficient matrix must be 2-dimensional")
-        arr.flags.writeable = False
-        self.array = arr
-
-    @property
-    def k(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.array.shape[1]
-
-    def __eq__(self, other):
-        return isinstance(other, CoefficientMatrix) and np.array_equal(
-            self.array, other.array
-        )
-
-    def __repr__(self):
-        return f"CoefficientMatrix(k={self.k}, r={self.r})"
-
-
-def make_coefficients(k: int, r: int, seed) -> CoefficientMatrix:
-    """Draw a K x R matrix of i.i.d. uniform field elements (zeros included).
-
-    Deterministic for a fixed seed. Columns are not screened for rank or
-    all-zero content; a bad draw surfaces later as a ``SingularSystemError``.
+    Column j defines coded payload j. Deterministic for a fixed seed; zeros
+    are included. Columns are not screened for rank or all-zero content; a
+    bad draw surfaces later as a ``SingularSystemError``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if r < 0:
         raise ValueError("r must be >= 0")
-    rng = np.random.default_rng(seed)
-    return CoefficientMatrix(rng.integers(0, 256, size=(k, r), dtype=np.uint8))
-
-
-@dataclass(frozen=True)
-class CodedGeneration:
-    """Encoder output: the untouched natives plus R coded payloads."""
-
-    native: tuple[bytes, ...]
-    coded: tuple[bytes, ...]
-    coefficients: CoefficientMatrix
-    generation_id: int = 0
+    coeffs = np.random.default_rng(seed).integers(0, 256, size=(k, r), dtype=np.uint8)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 class ReceivedSymbol(NamedTuple):
@@ -141,45 +103,34 @@ class DecodeStats:
     elimination_steps: int = 0
 
 
-def _payload_matrix(payloads, length: int) -> np.ndarray:
-    out = np.empty((len(payloads), length), dtype=np.uint8)
-    for i, p in enumerate(payloads):
-        out[i] = np.frombuffer(p, dtype=np.uint8)
-    return out
+def _check_coefficients(coeffs: np.ndarray, k: int) -> None:
+    if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2 or coeffs.dtype != np.uint8:
+        raise ValueError("coefficients must be a 2-dimensional uint8 array")
+    if coeffs.shape[0] != k:
+        raise ValueError(f"coefficient matrix has {coeffs.shape[0]} rows, expected {k}")
 
 
-def encode(gen: Generation, coeffs: CoefficientMatrix) -> CodedGeneration:
-    """Append R coded payloads to a generation; natives pass through unchanged.
+def _payload_matrix(payloads) -> np.ndarray:
+    """Equal-length payloads as the rows of one read-only (n, L) uint8 array."""
+    return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), -1)
+
+
+def encode(gen: Generation, coeffs: np.ndarray) -> tuple[bytes, ...]:
+    """The R coded payloads of a generation; its natives are sent unchanged.
 
     Coded payload j is XOR_i( C[i, j] * native_i ), computed bytewise over
     the field.
     """
-    if coeffs.k != gen.k:
-        raise ValueError(
-            f"coefficient matrix has {coeffs.k} rows but generation has {gen.k} payloads"
-        )
-    if coeffs.r == 0:
-        return CodedGeneration(
-            native=gen.symbols,
-            coded=(),
-            coefficients=coeffs,
-            generation_id=gen.generation_id,
-        )
-    natives = _payload_matrix(gen.symbols, gen.payload_len)
+    _check_coefficients(coeffs, gen.k)
+    natives = _payload_matrix(gen.symbols)
     # (R, K, L) products, XOR-reduced over K
-    products = gf256.MUL[coeffs.array.T[:, :, None], natives[None, :, :]]
-    coded_arr = np.bitwise_xor.reduce(products, axis=1)
-    return CodedGeneration(
-        native=gen.symbols,
-        coded=tuple(row.tobytes() for row in coded_arr),
-        coefficients=coeffs,
-        generation_id=gen.generation_id,
-    )
+    products = gf256.MUL[coeffs.T[:, :, None], natives[None, :, :]]
+    return tuple(row.tobytes() for row in np.bitwise_xor.reduce(products, axis=1))
 
 
 def decode(
     received: ReceivedGeneration,
-    coeffs: CoefficientMatrix,
+    coeffs: np.ndarray,
     k: int,
     stats: DecodeStats | None = None,
 ) -> Generation:
@@ -197,8 +148,8 @@ def decode(
     """
     if stats is None:
         stats = DecodeStats()
-    if coeffs.k != k:
-        raise ValueError(f"coefficient matrix has {coeffs.k} rows, expected {k}")
+    _check_coefficients(coeffs, k)
+    r = coeffs.shape[1]
 
     native_payloads: dict[int, bytes] = {}
     coded_cols: list[int] = []
@@ -214,8 +165,8 @@ def decode(
                 raise ValueError(f"native index {e.index} out of range for k={k}")
             native_payloads[e.index] = e.payload
         else:
-            if not 0 <= e.index < coeffs.r:
-                raise ValueError(f"coded index {e.index} out of range for r={coeffs.r}")
+            if not 0 <= e.index < r:
+                raise ValueError(f"coded index {e.index} out of range for r={r}")
             coded_cols.append(e.index)
             coded_payloads.append(e.payload)
 
@@ -231,49 +182,39 @@ def decode(
 
     m = len(missing)
     n = len(coded_cols)  # n >= m is implied by len(entries) >= k
-    assert length is not None
 
-    # Reduced system: A x = B with A[row, c] = C[missing[c], coded_cols[row]]
-    # and B[row] = coded payload XOR contribution of the natives that survived.
-    a = coeffs.array[np.ix_(missing, coded_cols)].T.copy()  # (n, m)
-    b = _payload_matrix(coded_payloads, length)  # (n, L)
+    # Reduced system A x = B as one augmented (n, m + L) array [A | B], with
+    # A[row, c] = C[missing[c], coded_cols[row]] and B[row] = coded payload
+    # XOR the contribution of the natives that survived.
+    b = _payload_matrix(coded_payloads)
     present = sorted(native_payloads)
     if present:
-        present_arr = _payload_matrix([native_payloads[i] for i in present], length)
-        sub = coeffs.array[np.ix_(present, coded_cols)]  # (p, n)
-        contrib = np.bitwise_xor.reduce(
+        sub = coeffs[np.ix_(present, coded_cols)]  # (p, n)
+        present_arr = _payload_matrix([native_payloads[i] for i in present])
+        b = b ^ np.bitwise_xor.reduce(
             gf256.MUL[sub.T[:, :, None], present_arr[None, :, :]], axis=1
         )
-        b ^= contrib
+    ab = np.concatenate((coeffs[np.ix_(missing, coded_cols)].T, b), axis=1)
 
     # Gauss-Jordan with positional pivoting (first nonzero entry wins; the
-    # field has no magnitude so there is nothing numeric to prefer).
-    pivot_row_of_col = [-1] * m
+    # field has no magnitude so there is nothing numeric to prefer). At full
+    # rank every column finds a pivot, so unknown c ends up solved in row c.
     row = 0
     for col in range(m):
-        pivot = -1
-        for i in range(row, n):
-            if a[i, col]:
-                pivot = i
-                break
-        if pivot < 0:
+        pivot = next((i for i in range(row, n) if ab[i, col]), None)
+        if pivot is None:
             continue
         if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-            b[[row, pivot]] = b[[pivot, row]]
-        if a[row, col] != 1:
-            scale = gf256.INV[a[row, col]]
-            a[row] = gf256.MUL[scale, a[row]]
-            b[row] = gf256.MUL[scale, b[row]]
+            ab[[row, pivot]] = ab[[pivot, row]]
+        if ab[row, col] != 1:
+            ab[row] = gf256.MUL[gf256.INV[ab[row, col]], ab[row]]
             stats.elimination_steps += 1
-        factors = a[:, col].copy()
+        factors = ab[:, col].copy()
         factors[row] = 0
         targets = np.flatnonzero(factors)
         if targets.size:
-            a[targets] ^= gf256.MUL[factors[targets, None], a[row][None, :]]
-            b[targets] ^= gf256.MUL[factors[targets, None], b[row][None, :]]
+            ab[targets] ^= gf256.MUL[factors[targets, None], ab[row][None, :]]
             stats.elimination_steps += int(targets.size)
-        pivot_row_of_col[col] = row
         row += 1
 
     if row < m:
@@ -285,5 +226,5 @@ def decode(
     for i, payload in native_payloads.items():
         symbols_out[i] = payload
     for c, native_idx in enumerate(missing):
-        symbols_out[native_idx] = b[pivot_row_of_col[c]].tobytes()
+        symbols_out[native_idx] = ab[c, m:].tobytes()
     return Generation(symbols=tuple(symbols_out), generation_id=received.generation_id)

@@ -106,6 +106,8 @@ class Scenario:
             raise ScenarioError("d_main_step_cm must be > 0")
         if self.d_stop_cm < self.d_start_cm:
             raise ScenarioError("d_main_stop_cm must be >= d_main_start_cm")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
 
     def distances_cm(self) -> list[float]:
         n = math.floor(snap((self.d_stop_cm - self.d_start_cm) / self.d_step_cm)) + 1
@@ -174,9 +176,18 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
     def number(key: str) -> float:
         try:
-            return float(values[key])
+            x = float(values[key])
         except ValueError:
-            raise ScenarioError(f"{source}: key {key!r}: not a number: {values[key]!r}") from None
+            x = math.nan
+        if not math.isfinite(x):
+            raise ScenarioError(f"{source}: key {key!r}: not a finite number: {values[key]!r}")
+        return x
+
+    def whole(key: str) -> int:
+        x = number(key)
+        if x != int(x):
+            raise ScenarioError(f"{source}: key {key!r}: not a whole number: {values[key]!r}")
+        return int(x)
 
     if "main_rate_bps" in values:
         if "baud_rate" in values or "bits_per_symbol" in values:
@@ -185,7 +196,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             )
         main_rate = number("main_rate_bps")
     elif "baud_rate" in values and "bits_per_symbol" in values:
-        main_rate = main_rate_from_baud(number("baud_rate"), int(number("bits_per_symbol")))
+        main_rate = main_rate_from_baud(number("baud_rate"), whole("bits_per_symbol"))
     else:
         raise ScenarioError(
             f"{source}: main-lane rate missing: main_rate_bps or baud_rate + bits_per_symbol"
@@ -193,8 +204,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
     try:
         return Scenario(
-            k=int(number("K")),
-            s=int(number("s")),
+            k=whole("K"),
+            s=whole("s"),
             code_rate=number("fec_code_rate"),
             channel=values["channel"],
             modulation=values["modulation"],
@@ -206,7 +217,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             aux_distance_cm=number("d_aux_cm") if "d_aux_cm" in values else None,
             ber_table=values.get("ber_table"),
             output=values.get("output"),
-            seed=int(number("seed")) if "seed" in values else 0,
+            seed=whole("seed") if "seed" in values else 0,
         )
     except ValueError as exc:
         raise ScenarioError(f"{source}: {exc}") from None

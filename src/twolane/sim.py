@@ -138,7 +138,7 @@ def run(cfg: SimConfig) -> SimReport:
         gen = Generation(
             symbols=tuple(row.tobytes() for row in natives), generation_id=g
         )
-        coded_gen = encode(gen, coeffs)
+        coded = encode(gen, coeffs)
 
         if cfg.error_mode == "analytic-erasure":
             survivors = erase_symbols(k, cfg.plan.fec.residual_ser, rng)
@@ -156,9 +156,7 @@ def run(cfg: SimConfig) -> SimReport:
         entries = [
             ReceivedSymbol("native", int(i), gen.symbols[i]) for i in survivors
         ]
-        entries.extend(
-            ReceivedSymbol("coded", j, coded_gen.coded[j]) for j in range(r)
-        )
+        entries.extend(ReceivedSymbol("coded", j, p) for j, p in enumerate(coded))
         received_count = len(entries)
         report.received_histogram[received_count] = (
             report.received_histogram.get(received_count, 0) + 1

@@ -173,7 +173,7 @@ def test_codec_round_trip():
         gen = codec.Generation(
             tuple(row.tobytes() for row in natives), generation_id=trial
         )
-        coded_gen = codec.encode(gen, coeffs)
+        coded = codec.encode(gen, coeffs)
         e = int(rng.integers(0, r + 1))
         erased = set(rng.choice(k, size=e, replace=False).tolist())
         entries = [
@@ -181,7 +181,7 @@ def test_codec_round_trip():
             for i in range(k)
             if i not in erased
         ]
-        entries += [codec.ReceivedSymbol("coded", j, coded_gen.coded[j]) for j in range(r)]
+        entries += [codec.ReceivedSymbol("coded", j, p) for j, p in enumerate(coded)]
         try:
             out = codec.decode(codec.ReceivedGeneration(tuple(entries)), coeffs, k)
         except codec.SingularSystemError:
@@ -200,12 +200,10 @@ def test_systematic_noop():
     for trial in range(1000):
         natives = rng.integers(0, 256, (k, 8), dtype=np.uint8)
         gen = codec.Generation(tuple(row.tobytes() for row in natives))
-        coded_gen = codec.encode(gen, coeffs)
+        coded = codec.encode(gen, coeffs)
         entries = [codec.ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k)]
         if trial % 2:  # with or without the auxiliary symbols alongside
-            entries += [
-                codec.ReceivedSymbol("coded", j, coded_gen.coded[j]) for j in range(r)
-            ]
+            entries += [codec.ReceivedSymbol("coded", j, p) for j, p in enumerate(coded)]
         stats = codec.DecodeStats()
         out = codec.decode(codec.ReceivedGeneration(tuple(entries)), coeffs, k, stats=stats)
         assert out.symbols == gen.symbols

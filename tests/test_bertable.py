@@ -51,6 +51,11 @@ def test_malformed_row_names_the_row():
         parse_ber_table(table_text(["B,16PSK,200"]))
     with pytest.raises(BerTableError, match="row 2"):
         parse_ber_table(table_text(["B,16PSK,abc,0.5"]))
+    # NaN compares false both ways, so it would slip past the ordering check
+    with pytest.raises(BerTableError, match="row 3: distance_cm nan is not finite"):
+        parse_ber_table(table_text(["B,16PSK,100,0.01", "B,16PSK,nan,0.02", "B,16PSK,inf,0.03"]))
+    with pytest.raises(BerTableError, match="row 3: distance_cm inf is not finite"):
+        parse_ber_table(table_text(["B,16PSK,100,0.01", "B,16PSK,inf,0.02"]))
 
 
 # --------------------------------------------------------------------- lookup

@@ -129,6 +129,12 @@ def test_simulate_writes_csv(workdir):
     assert len(lines) == 38
 
 
+def test_simulate_negative_seed_is_validation_error(workdir, capsys):
+    rc = cli.main(["simulate", "--scenario", str(workdir / "scn.scn"), "--seed", "-1"])
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_simulate_bit_level_mode(workdir, capsys):
     (workdir / "one.scn").write_text(
         scenario_text(d_start=650, d_stop=650, extra="ber_table = ber.csv"),

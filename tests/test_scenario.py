@@ -92,6 +92,53 @@ def test_parse_scenario_rejects_bad_grid():
         parse_scenario(scenario_text(d_start=500, d_stop=200))
 
 
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("K = 30", "K = 30.7", "'K': not a whole number: '30.7'"),
+        ("s = 8", "s = 8.5", "'s': not a whole number: '8.5'"),
+        (
+            "main_rate_bps = 800000000000.0",
+            "baud_rate = 25e9\nbits_per_symbol = 4.5",
+            "'bits_per_symbol': not a whole number: '4.5'",
+        ),
+        ("seed = 7", "seed = 1.9", "'seed': not a whole number: '1.9'"),
+        ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
+        ("K = 30", "K = abc", "'K': not a finite number: 'abc'"),
+        ("main_rate_bps = 800000000000.0", "main_rate_bps = inf", "'main_rate_bps': not a finite"),
+        ("main_rate_bps = 800000000000.0", "main_rate_bps = nan", "'main_rate_bps': not a finite"),
+        ("d_main_step_cm = 50", "d_main_step_cm = nan", "'d_main_step_cm': not a finite"),
+        ("fec_code_rate = 0.8", "fec_code_rate = -inf", "'fec_code_rate': not a finite"),
+        ("d_aux_cm = 150", "d_aux_cm = inf", "'d_aux_cm': not a finite"),
+    ],
+    ids=[
+        "fractional-K",
+        "fractional-s",
+        "fractional-bits_per_symbol",
+        "fractional-seed",
+        "negative-seed",
+        "non-numeric-K",
+        "inf-rate",
+        "nan-rate",
+        "nan-step",
+        "inf-code-rate",
+        "inf-aux-distance",
+    ],
+)
+def test_parse_scenario_rejects_bad_number(old, new, message):
+    lines = scenario_text().splitlines()
+    text = "\n".join(new if line == old else line for line in lines)
+    assert old in lines
+    with pytest.raises(ScenarioError, match=f"bad.scn: .*{re.escape(message)}"):
+        parse_scenario(text, source="bad.scn")
+
+
+def test_parse_scenario_accepts_whole_float():
+    text = scenario_text().replace("K = 30", "K = 30.0").replace("seed = 7", "seed = 7e0")
+    sc = parse_scenario(text)
+    assert sc.k == 30 and isinstance(sc.k, int) and sc.seed == 7
+
+
 def test_single_point_grid():
     sc = parse_scenario(scenario_text(d_start=650, d_stop=650))
     assert sc.distances_cm() == [650.0]
