@@ -4,9 +4,10 @@ A generation is a block of K equal-length byte payloads encoded and decoded
 as one unit. Encoding computes R coded payloads, each a random linear
 combination of the K natives defined by one column of a K x R coefficient
 array; the natives themselves are transmitted unchanged. Decoding recovers
-the K natives from any rank-K subset of received symbols via Gauss-Jordan
-elimination over the field, solving only for the missing natives (natives
-that survived are emitted as-is, without recomputation).
+the K natives from any rank-K subset of received symbols, solving only for
+the missing natives: Gauss-Jordan elimination runs on the coefficients
+alone, then the payload bytes are multiplied once by ``gf256.matmul``, the
+kernel that also encodes. Natives that survived are emitted as-is.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -122,10 +123,7 @@ def encode(gen: Generation, coeffs: np.ndarray) -> tuple[bytes, ...]:
     the field.
     """
     _check_coefficients(coeffs, gen.k)
-    natives = _payload_matrix(gen.symbols)
-    # (R, K, L) products, XOR-reduced over K
-    products = gf256.MUL[coeffs.T[:, :, None], natives[None, :, :]]
-    return tuple(row.tobytes() for row in np.bitwise_xor.reduce(products, axis=1))
+    return tuple(row.tobytes() for row in gf256.matmul(coeffs.T, _payload_matrix(gen.symbols)))
 
 
 def decode(
@@ -183,18 +181,14 @@ def decode(
     m = len(missing)
     n = len(coded_cols)  # n >= m is implied by len(entries) >= k
 
-    # Reduced system A x = B as one augmented (n, m + L) array [A | B], with
-    # A[row, c] = C[missing[c], coded_cols[row]] and B[row] = coded payload
-    # XOR the contribution of the natives that survived.
-    b = _payload_matrix(coded_payloads)
+    # Row-reduce [A | I_n | S], coefficients only: A and S hold the
+    # coefficients of the missing and of the surviving natives in each coded
+    # payload, so A x = coded + S present (minus is plus in GF(2^8)).
+    # Reducing A to the identity turns I_n | S into T | T S; row c of that,
+    # times the coded payloads stacked on the surviving ones, is missing c.
     present = sorted(native_payloads)
-    if present:
-        sub = coeffs[np.ix_(present, coded_cols)]  # (p, n)
-        present_arr = _payload_matrix([native_payloads[i] for i in present])
-        b = b ^ np.bitwise_xor.reduce(
-            gf256.MUL[sub.T[:, :, None], present_arr[None, :, :]], axis=1
-        )
-    ab = np.concatenate((coeffs[np.ix_(missing, coded_cols)].T, b), axis=1)
+    sub = coeffs[:, coded_cols].T  # (n, k)
+    ab = np.concatenate((sub[:, missing], np.eye(n, dtype=np.uint8), sub[:, present]), axis=1)
 
     # Gauss-Jordan with positional pivoting (first nonzero entry wins; the
     # field has no magnitude so there is nothing numeric to prefer). At full
@@ -211,10 +205,9 @@ def decode(
             stats.elimination_steps += 1
         factors = ab[:, col].copy()
         factors[row] = 0
-        targets = np.flatnonzero(factors)
-        if targets.size:
-            ab[targets] ^= gf256.MUL[factors[targets, None], ab[row][None, :]]
-            stats.elimination_steps += int(targets.size)
+        # rows with factor 0 (the pivot row among them) XOR zeros
+        ab ^= gf256.MUL[factors[:, None], ab[row]]
+        stats.elimination_steps += int(np.count_nonzero(factors))
         row += 1
 
     if row < m:
@@ -222,9 +215,8 @@ def decode(
             f"singular system: rank {row} < {m} unknowns from {n} coded symbols"
         )
 
-    symbols_out: list[bytes] = [b""] * k
-    for i, payload in native_payloads.items():
-        symbols_out[i] = payload
-    for c, native_idx in enumerate(missing):
-        symbols_out[native_idx] = ab[c, m:].tobytes()
-    return Generation(symbols=tuple(symbols_out), generation_id=received.generation_id)
+    payloads = _payload_matrix(coded_payloads + [native_payloads[i] for i in present])
+    for native_idx, payload in zip(missing, gf256.matmul(ab[:m, m:], payloads)):
+        native_payloads[native_idx] = payload.tobytes()
+    symbols = tuple(native_payloads[i] for i in range(k))
+    return Generation(symbols=symbols, generation_id=received.generation_id)

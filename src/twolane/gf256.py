@@ -5,9 +5,9 @@ Reduction polynomial: x^8 + x^4 + x^3 + x + 1 (0x11B). Multiplication and
 inversion go through log/exp tables built with generator 0x03; 0x02 is not
 primitive under 0x11B (its order is 51), so the generator choice matters.
 
-A full 256x256 product table (``MUL``) is also exported for vectorised
-payload math: ``MUL[c, data]`` with a uint8 numpy array ``data`` multiplies
-every byte by the field element ``c`` in one fancy-index operation.
+A full 256x256 product table (``MUL``) is also exported. Payload math goes
+through ``matmul``, the field's matrix product: it gathers each coefficient's
+256-byte product row ``MUL[c]`` and indexes those rows with the payload bytes.
 
 All tables are built once at import and never mutated afterwards, so every
 function here is safe for unrestricted concurrent use.
@@ -62,3 +62,11 @@ def inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("no inverse for zero")
     return int(INV[a])
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Field product of uint8 (n, k) and (k, L) matrices as a new uint8 (n, L) array."""
+    n, k = a.shape
+    rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
+    products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)
+    return np.bitwise_xor.reduce(products, axis=1)

@@ -102,6 +102,9 @@ class Scenario:
             raise ScenarioError(f"d_aux_policy must be one of {AUX_POLICIES}")
         if self.aux_policy == "fixed" and self.aux_distance_cm is None:
             raise ScenarioError("d_aux_policy 'fixed' requires d_aux_cm")
+        for name in ("d_start_cm", "d_stop_cm", "d_step_cm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.d_step_cm <= 0:
             raise ScenarioError("d_main_step_cm must be > 0")
         if self.d_stop_cm < self.d_start_cm:
@@ -397,7 +400,8 @@ def simulate(
     """Monte Carlo per grid distance, next to the analytic predictions."""
     if generations < 1:
         raise ValueError("generations must be >= 1")
-    base_seed = sc.seed if seed is None else seed
+    if seed is not None:
+        sc = replace(sc, seed=seed)
     rows: list[SimRow] = []
     errors: list[RowError] = []
     for i, d in enumerate(sc.distances_cm()):
@@ -413,7 +417,7 @@ def simulate(
                 link=link,
                 plan=lp,
                 generations=generations,
-                rng_seed=base_seed + i,
+                rng_seed=sc.seed + i,
                 error_mode=mode,
             )
         )

@@ -222,6 +222,27 @@ def test_round_trip_random_erasures():
     assert failures <= 3  # uniform GF(256) draws are almost never singular
 
 
+def test_decode_bulk_payloads_counts_steps_from_coefficients_only():
+    # K=30, R=18 with 1 KiB payloads; elimination touches only the
+    # coefficient block, so the step count matches the 8-byte decode of the
+    # same erasure pattern.
+    rng = np.random.default_rng(9)
+    k, r = 30, 18
+    c = codec.make_coefficients(k, r, seed=124)
+    bulk = random_generation(rng, k=k, payload_len=1024)
+    small = random_generation(rng, k=k, payload_len=8)
+    bulk_coded, small_coded = codec.encode(bulk, c), codec.encode(small, c)
+    for e in range(r + 1):
+        erased = rng.choice(k, size=e, replace=False)
+        bulk_stats, small_stats = DecodeStats(), DecodeStats()
+        result = codec.decode(received_from(bulk, bulk_coded, erased), c, k, bulk_stats)
+        codec.decode(received_from(small, small_coded, erased), c, k, small_stats)
+        assert result.symbols == bulk.symbols
+        assert type(bulk_stats.elimination_steps) is int
+        assert bulk_stats.elimination_steps == small_stats.elimination_steps
+        assert (bulk_stats.elimination_steps > 0) == (e > 0)
+
+
 def test_coefficient_matrix_reuse_across_generations():
     rng = np.random.default_rng(7)
     c = codec.make_coefficients(10, 5, seed=77)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twolane import gf256
 
@@ -82,3 +84,42 @@ def test_mul_bytes_vectorised():
     out = gf256.MUL[0x53, data]
     for i in range(256):
         assert out[i] == gf_mul_ref(0x53, i)
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, k, length = draw(st.integers(0, 4)), draw(st.integers(0, 5)), draw(st.integers(0, 300))
+    cells = draw(st.lists(st.integers(0, 255), min_size=n * k, max_size=n * k))
+    payload = draw(st.binary(min_size=k * length, max_size=k * length))
+    a = np.array(cells, dtype=np.uint8).reshape(n, k)
+    return a, np.frombuffer(payload, dtype=np.uint8).reshape(k, length)
+
+
+def pair(n, k, length, seed=0):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, 256, (n, k), dtype=np.uint8),
+        rng.integers(0, 256, (k, length), dtype=np.uint8),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(matrix_pairs())
+@example(pair(3, 0, 5))  # inner dimension 0
+@example(pair(0, 4, 7))  # no rows: the R = 0 encode
+@example(pair(2, 3, 0))  # no columns: a decode with no surviving natives
+@example(pair(4, 5, 1))
+@example(pair(2, 5, 300))  # wider than one 256-byte table row
+def test_matmul_matches_bruteforce_oracle(ab):
+    a, b = ab
+    out = gf256.matmul(a, b)
+    (n, k), length = a.shape, b.shape[1]
+    assert out.dtype == np.uint8 and out.shape == (n, length)
+    assert out.flags.writeable
+    assert not np.shares_memory(out, a) and not np.shares_memory(out, b)
+    for i in range(n):
+        for col in range(length):
+            expected = 0
+            for p in range(k):
+                expected ^= gf_mul_ref(int(a[i, p]), int(b[p, col]))
+            assert out[i, col] == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -137,6 +138,21 @@ def test_parse_scenario_accepts_whole_float():
     text = scenario_text().replace("K = 30", "K = 30.0").replace("seed = 7", "seed = 7e0")
     sc = parse_scenario(text)
     assert sc.k == 30 and isinstance(sc.k, int) and sc.seed == 7
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("d_start_cm", math.nan),
+        ("d_step_cm", math.nan),
+        ("d_stop_cm", math.inf),
+        ("d_start_cm", -math.inf),
+    ],
+)
+def test_scenario_rejects_non_finite_distance(field, value):
+    sc = parse_scenario(scenario_text())
+    with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+        dataclasses.replace(sc, **{field: value})
 
 
 def test_single_point_grid():
@@ -300,6 +316,12 @@ def test_simulate_deterministic_csv_bytes(tmp_path):
     write_sim_csv(rows1, out1)
     write_sim_csv(rows2, out2)
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_rejects_negative_seed_override():
+    sc = parse_scenario(scenario_text(d_start=650, d_stop=650))
+    with pytest.raises(ScenarioError, match="seed must be >= 0, got -1"):
+        simulate(sc, flat_table(), generations=1, seed=-1)
 
 
 def test_simulate_failure_rate_near_analytic_tail():
