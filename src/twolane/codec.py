@@ -6,8 +6,10 @@ combination of the K natives defined by one column of a K x R coefficient
 array; the natives themselves are transmitted unchanged. Decoding recovers
 the K natives from any rank-K subset of received symbols, solving only for
 the missing natives: Gauss-Jordan elimination runs on the coefficients
-alone, then the payload bytes are multiplied once by ``gf256.matmul``, the
-kernel that also encodes. Natives that survived are emitted as-is.
+alone, one table-row product per pivot with the pivot row's scale folded
+into the update, then the payload bytes are multiplied once by
+``gf256.matmul``, the kernel that also encodes. Natives that survived are
+emitted as-is.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -181,18 +183,24 @@ def decode(
     m = len(missing)
     n = len(coded_cols)  # n >= m is implied by len(entries) >= k
 
-    # Row-reduce [A | I_n | S], coefficients only: A and S hold the
+    # Row-reduce [A | S | I_n], coefficients only: A and S hold the
     # coefficients of the missing and of the surviving natives in each coded
-    # payload, so A x = coded + S present (minus is plus in GF(2^8)).
-    # Reducing A to the identity turns I_n | S into T | T S; row c of that,
-    # times the coded payloads stacked on the surviving ones, is missing c.
+    # payload, so A x = S present + coded (minus is plus in GF(2^8)).
+    # Reducing A to the identity turns S | I_n into T S | T; row c of that,
+    # times the surviving payloads stacked on the coded ones, is missing c.
     present = sorted(native_payloads)
-    sub = coeffs[:, coded_cols].T  # (n, k)
-    ab = np.concatenate((sub[:, missing], np.eye(n, dtype=np.uint8), sub[:, present]), axis=1)
+    ab = np.zeros((n, k + n), dtype=np.uint8)
+    ab[:, :k] = coeffs.take(missing + present, axis=0).take(coded_cols, axis=1).T
+    np.fill_diagonal(ab[:, k:], 1)
 
     # Gauss-Jordan with positional pivoting (first nonzero entry wins; the
     # field has no magnitude so there is nothing numeric to prefer). At full
     # rank every column finds a pivot, so unknown c ends up solved in row c.
+    # One product per pivot p: row i gains (ab[i, col] / p) times the pivot
+    # row, and since a*x + b*x = (a + b)*x, the pivot row gaining (1 + 1/p)
+    # times itself is its scale by 1/p. A nonzero factor is one field row
+    # operation: the pivot row's when p != 1, each other row's when it has a
+    # nonzero entry in the pivot column.
     row = 0
     for col in range(m):
         pivot = next((i for i in range(row, n) if ab[i, col]), None)
@@ -200,13 +208,10 @@ def decode(
             continue
         if pivot != row:
             ab[[row, pivot]] = ab[[pivot, row]]
-        if ab[row, col] != 1:
-            ab[row] = gf256.MUL[gf256.INV[ab[row, col]], ab[row]]
-            stats.elimination_steps += 1
-        factors = ab[:, col].copy()
-        factors[row] = 0
-        # rows with factor 0 (the pivot row among them) XOR zeros
-        ab ^= gf256.MUL[factors[:, None], ab[row]]
+        inv = gf256.INV[ab[row, col]]
+        factors = gf256.MUL[inv, ab[:, col]]
+        factors[row] = 1 ^ inv
+        ab ^= gf256.MUL[factors].take(ab[row], axis=1)
         stats.elimination_steps += int(np.count_nonzero(factors))
         row += 1
 
@@ -215,7 +220,7 @@ def decode(
             f"singular system: rank {row} < {m} unknowns from {n} coded symbols"
         )
 
-    payloads = _payload_matrix(coded_payloads + [native_payloads[i] for i in present])
+    payloads = _payload_matrix([native_payloads[i] for i in present] + coded_payloads)
     for native_idx, payload in zip(missing, gf256.matmul(ab[:m, m:], payloads)):
         native_payloads[native_idx] = payload.tobytes()
     symbols = tuple(native_payloads[i] for i in range(k))

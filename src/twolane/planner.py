@@ -40,6 +40,9 @@ class LinkParams:
     aux_distance: float  # m
 
     def __post_init__(self):
+        for name in ("main_rate", "main_distance", "aux_distance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.main_rate <= 0:
             raise ValueError("main_rate must be > 0")
         if self.main_distance < 0 or self.aux_distance < 0:

@@ -154,7 +154,7 @@ def run(cfg: SimConfig) -> SimReport:
         erased_total += k - survivors.size
 
         entries = [
-            ReceivedSymbol("native", int(i), gen.symbols[i]) for i in survivors
+            ReceivedSymbol("native", i, gen.symbols[i]) for i in survivors.tolist()
         ]
         entries.extend(ReceivedSymbol("coded", j, p) for j, p in enumerate(coded))
         received_count = len(entries)

@@ -1,8 +1,9 @@
 """Property tests for the codec against brute-force GF(2^8) references.
 
 The references use ``gf_mul_ref`` only (no library tables): the encode
-oracle sums products byte by byte, and the rank oracle runs its own
-Gaussian elimination to say when a decode must fail as singular.
+oracle sums products byte by byte, and the elimination oracle runs its own
+Gauss-Jordan with the decoder's pivoting to give the rank (a decode must
+fail as singular below full rank) and the field row operations counted.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from twolane import codec
 from twolane.codec import (
+    DecodeStats,
     Generation,
     InsufficientSymbolsError,
     ReceivedGeneration,
@@ -18,30 +20,34 @@ from twolane.codec import (
     SingularSystemError,
 )
 
-from conftest import gf_mul_ref
+from conftest import gf_inv_ref, gf_mul_ref
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
-INV_REF = [0] + [next(x for x in range(1, 256) if gf_mul_ref(a, x) == 1) for a in range(1, 256)]
+def elimination_ref(rows: list[list[int]]) -> tuple[int, int]:
+    """Rank and row-operation count of scalar Gauss-Jordan with positional pivoting.
 
-
-def rank_ref(rows: list[list[int]]) -> int:
-    """Rank over GF(2^8) of a list of equal-length rows."""
+    A pivot that is not 1 costs one scale of its row; every other row with
+    a nonzero entry in the pivot column costs one update.
+    """
     rows = [list(r) for r in rows]
-    rank = 0
+    rank = steps = 0
     for col in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = INV_REF[rows[rank][col]]
-        rows[rank] = [gf_mul_ref(inv, v) for v in rows[rank]]
+        if rows[rank][col] != 1:
+            inv = gf_inv_ref(rows[rank][col])
+            rows[rank] = [gf_mul_ref(inv, v) for v in rows[rank]]
+            steps += 1
         for i in range(len(rows)):
             if i != rank and rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [v ^ gf_mul_ref(f, p) for v, p in zip(rows[i], rows[rank])]
+                steps += 1
         rank += 1
-    return rank
+    return rank, steps
 
 
 @st.composite
@@ -95,7 +101,38 @@ def test_decode_recovers_or_fails_for_the_right_reason(case, data):
         assert len(erased) > r
     except SingularSystemError:
         assert len(erased) <= r
-        assert rank_ref([[int(coeffs[i, j]) for i in missing] for j in range(r)]) < len(missing)
+        rank, _ = elimination_ref([[int(coeffs[i, j]) for i in missing] for j in range(r)])
+        assert rank < len(missing)
     else:
         assert len(erased) <= r
         assert out.symbols == gen.symbols
+
+
+
+@PROPERTY
+@given(generations(max_k=10, max_r=10, max_len=3), st.data())
+def test_decode_elimination_steps_match_scalar_reference(case, data):
+    gen, coeffs = case
+    k, r = coeffs.shape
+    if data.draw(st.integers(0, 4)) == 0:
+        # about one case in five: sparse coefficients make singular systems common
+        coeffs = np.where(coeffs > 3, 0, coeffs).astype(np.uint8)
+    e = data.draw(st.integers(0, min(k, r)))
+    erased = data.draw(st.sets(st.integers(0, k - 1), min_size=e, max_size=e))
+    entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in erased]
+    entries += [ReceivedSymbol("coded", j, p) for j, p in enumerate(codec.encode(gen, coeffs))]
+    entries = data.draw(st.permutations(entries))
+    missing = sorted(erased)
+    # one equation per coded symbol, in received order, over the missing natives
+    rank, steps = elimination_ref(
+        [[int(coeffs[i, sym.index]) for i in missing] for sym in entries if sym.kind == "coded"]
+    )
+    stats = DecodeStats()
+    try:
+        out = codec.decode(ReceivedGeneration(entries=tuple(entries)), coeffs, k, stats)
+    except SingularSystemError:
+        assert rank < len(missing)
+    else:
+        assert rank == len(missing)
+        assert out.symbols == gen.symbols
+    assert stats.elimination_steps == steps

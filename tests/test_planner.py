@@ -217,6 +217,20 @@ def test_link_params_validation():
         link(aux_distance=-0.5)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("main_rate", float("nan")),
+        ("main_rate", float("inf")),
+        ("main_distance", float("nan")),
+        ("aux_distance", float("inf")),
+    ],
+)
+def test_link_params_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        link(**{field: value})
+
+
 def test_main_rate_from_baud():
     assert planner.main_rate_from_baud(25e9, 4) == 1e11
     with pytest.raises(ValueError):

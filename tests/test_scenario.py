@@ -1,14 +1,19 @@
 import dataclasses
 import math
+import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twolane import scenario
 from twolane.bertable import parse_ber_table, synthetic_ber_table
 from twolane.scenario import (
     ScenarioError,
     SWEEP_COLUMNS,
+    SweepRow,
     binomial_tail_above,
     classify_aux_technology,
     parse_scenario,
@@ -236,6 +241,24 @@ def test_sweep_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
     assert "\r" not in text
     assert read_sweep_csv(path) == rows
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+sweep_rows = st.builds(
+    SweepRow,
+    **{f.name: finite for f in dataclasses.fields(SweepRow) if f.name != "redundancy"},
+    redundancy=st.integers(min_value=0),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(sweep_rows, max_size=5))
+def test_sweep_csv_write_read_identity(rows):
+    # a tempfile directory, not tmp_path: hypothesis reruns the body per example
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        write_sweep_csv(rows, path)
+        assert read_sweep_csv(path) == rows
 
 
 @pytest.mark.parametrize(
