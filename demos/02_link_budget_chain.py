@@ -61,7 +61,7 @@ lp = planner.plan(link)
 print(f"at p_e = {base.bit_error_rate}: R = {lp.redundancy}, C_aux = {lp.aux_rate:.4e} bps")
 print(f"t_main = {lp.t_main:.6e} s")
 print(f"t_aux  = {lp.t_aux:.6e} s   (difference {abs(lp.t_main - lp.t_aux):.2e} s)")
-print(f"auxiliary distance must stay below {lp.aux_distance_max:.4f} m")
+print(f"auxiliary distance must stay below {planner.aux_distance_bound(link):.4f} m")
 
 print()
 print("with equal lane distances the matched rate no longer depends on distance:")

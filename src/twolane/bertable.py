@@ -6,16 +6,18 @@ holding one curve per (channel, modulation) pair, sampled at strictly
 increasing distances. Lookups are exact-match by default; linear
 interpolation between neighbouring distances is available behind a flag.
 
-A synthetic fixture ships with the package (``data/ber_table_synthetic.csv``)
-so sweeps and demos run out of the box: four curves of the form
+``load_builtin_table()`` builds a synthetic fixture so sweeps and demos run
+out of the box (``ber_table = builtin`` in a scenario): four curves of the
+form
 
     p_e(d) = p0 * exp((d_cm - d_cross) / 1000)
 
-where p0 = 0.8 * 29 / 240 is the correction-budget threshold of the default
-configuration (K=30, s=8, code rate 0.8), so each curve starts needing
-redundancy at the first 50 cm grid point past its d_cross. The fixture is
-synthetic and qualitative only (monotone in distance, worse for higher
-modulation levels and for channel C); it is not measured data.
+on a 200..2000 cm grid at 50 cm steps, where p0 = 0.8 * 29 / 240 is the
+correction-budget threshold of the default configuration (K=30, s=8, code
+rate 0.8), so each curve starts needing redundancy at the first grid point
+past its d_cross. The fixture is synthetic and qualitative only (monotone in
+distance, worse for higher modulation levels and for channel C); it is not
+measured data.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ class BerTable:
         interpolate: bool = False,
     ) -> float:
         """BER at one distance: exact grid match, or linear if asked."""
+        if not math.isfinite(distance_cm):
+            raise BerTableError(f"distance {distance_cm} cm is not finite")
         rows = self.curve(channel, modulation)
         for p in rows:
             if abs(p.distance_cm - distance_cm) <= _DISTANCE_TOL:
@@ -101,7 +105,6 @@ class BerTable:
             if a.distance_cm <= distance_cm <= b.distance_cm:
                 frac = (distance_cm - a.distance_cm) / (b.distance_cm - a.distance_cm)
                 return a.bit_error_rate + frac * (b.bit_error_rate - a.bit_error_rate)
-        raise BerTableError(f"interpolation failed at {distance_cm} cm")  # unreachable
 
 
 def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
@@ -141,14 +144,6 @@ def load_ber_table(path) -> BerTable:
         return parse_ber_table(f.read(), source=str(path))
 
 
-def load_builtin_table() -> BerTable:
-    """The synthetic fixture shipped inside the package."""
-    from importlib.resources import files
-
-    text = files("twolane").joinpath("data/ber_table_synthetic.csv").read_text("utf-8")
-    return parse_ber_table(text, source="builtin ber_table_synthetic.csv")
-
-
 def save_ber_table(table: BerTable, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(HEADER) + "\n")
@@ -159,32 +154,21 @@ def save_ber_table(table: BerTable, path) -> None:
 # Threshold BER below which the default configuration needs no redundancy.
 _P_ANCHOR = 0.8 * 29 / 240.0
 
-_SYNTHETIC_CURVES = {
+_BUILTIN_CROSSINGS_CM = {
     # (channel, modulation): distance (cm) where the curve crosses _P_ANCHOR
     ("B", "16PSK"): 640.0,
     ("B", "8PSK"): 740.0,
     ("C", "16PSK"): 490.0,
     ("C", "8PSK"): 590.0,
 }
-_SYNTHETIC_SCALE_CM = 1000.0
 
 
-def synthetic_ber(channel: str, modulation: str, distance_cm: float) -> float:
-    """Closed form behind the shipped fixture."""
-    d_cross = _SYNTHETIC_CURVES[(channel, modulation)]
-    return min(1.0, _P_ANCHOR * math.exp((distance_cm - d_cross) / _SYNTHETIC_SCALE_CM))
-
-
-def synthetic_ber_table(
-    start_cm: float = 200.0, stop_cm: float = 2000.0, step_cm: float = 50.0
-) -> BerTable:
-    """The shipped fixture: 4 curves on a regular distance grid."""
+def load_builtin_table() -> BerTable:
+    """The synthetic fixture: 4 closed-form curves on 200..2000 cm, 50 cm steps."""
     points = []
-    for (channel, modulation), _ in sorted(_SYNTHETIC_CURVES.items()):
-        n = int(round((stop_cm - start_cm) / step_cm)) + 1
-        for i in range(n):
-            d = start_cm + i * step_cm
-            points.append(
-                BerPoint(channel, modulation, d, synthetic_ber(channel, modulation, d))
-            )
+    for (channel, modulation), d_cross in sorted(_BUILTIN_CROSSINGS_CM.items()):
+        for i in range(37):
+            d = 200.0 + i * 50.0
+            p_e = min(1.0, _P_ANCHOR * math.exp((d - d_cross) / 1000.0))
+            points.append(BerPoint(channel, modulation, d, p_e))
     return BerTable(points)

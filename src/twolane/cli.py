@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .bertable import BerTableError, load_ber_table, load_builtin_table
 from .planner import InfeasibleAuxDistanceError
@@ -120,14 +119,13 @@ def main(argv=None) -> int:
             rows, errors = sweep(sc, table, interpolate=args.interpolate)
             write_csv = write_sweep_csv
         else:
-            if args.seed is not None:
-                sc = replace(sc, seed=args.seed)
             rows, errors = simulate(
                 sc,
                 table,
                 generations=args.generations,
                 mode=args.mode,
                 interpolate=args.interpolate,
+                seed=args.seed,
             )
             write_csv = write_sim_csv
         for e in errors:

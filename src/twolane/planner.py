@@ -60,7 +60,6 @@ class LinkPlan:
     aux_rate: float  # bits/s; 0 when no redundancy is needed
     t_main: float  # s
     t_aux: float  # s; 0 when no auxiliary transmission happens
-    aux_distance_max: float  # m, strict upper bound on aux_distance
 
 
 def main_rate_from_baud(baud_rate: float, bits_per_symbol: int) -> float:
@@ -159,5 +158,4 @@ def plan(link: LinkParams) -> LinkPlan:
         aux_rate=rate,
         t_main=t_main,
         t_aux=t_aux,
-        aux_distance_max=aux_distance_bound(link),
     )

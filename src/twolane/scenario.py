@@ -17,7 +17,7 @@ Schema (distances in centimetres, converted to metres internally):
     d_aux_policy = fixed        'fixed' (needs d_aux_cm) or 'equal_to_main'
     d_aux_cm = 150
     ber_table = path.csv        optional; CLI --ber-table overrides; the
-                                special value 'builtin' selects the packaged
+                                special value 'builtin' selects the built-in
                                 synthetic fixture
     output = out.csv            optional; CLI --out overrides
     seed = 7                    optional, default 0
@@ -46,6 +46,9 @@ from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud
 from .sim import SimConfig, SimReport, run
 
 AUX_POLICIES = ("fixed", "equal_to_main")
+
+# A mistyped d_main_step_cm should fail at parse time, not build millions of points.
+MAX_GRID_POINTS = 100_000
 
 SWEEP_COLUMNS = (
     "d_main_cm",
@@ -109,12 +112,26 @@ class Scenario:
             raise ScenarioError("d_main_step_cm must be > 0")
         if self.d_stop_cm < self.d_start_cm:
             raise ScenarioError("d_main_stop_cm must be >= d_main_start_cm")
+        n = self.grid_size()
+        if n > MAX_GRID_POINTS:
+            raise ScenarioError(
+                f"d_main_step_cm = {self.d_step_cm!r} gives {n} grid points, cap {MAX_GRID_POINTS}"
+            )
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        # the FecParams and LinkParams rules, checked once here and not at the first point
+        try:
+            self.link_for(self.d_start_cm, 0.0)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
+
+    def grid_size(self) -> int | float:
+        """Number of grid distances; inf when the span over the step overflows."""
+        steps = (self.d_stop_cm - self.d_start_cm) / self.d_step_cm
+        return math.floor(snap(steps)) + 1 if math.isfinite(steps) else math.inf
 
     def distances_cm(self) -> list[float]:
-        n = math.floor(snap((self.d_stop_cm - self.d_start_cm) / self.d_step_cm)) + 1
-        return [self.d_start_cm + i * self.d_step_cm for i in range(n)]
+        return [self.d_start_cm + i * self.d_step_cm for i in range(self.grid_size())]
 
     def aux_distance_for(self, d_main_cm: float) -> float:
         if self.aux_policy == "equal_to_main":
@@ -357,6 +374,8 @@ def classify_aux_technology(rate_bps: float) -> str:
     FSO, up to 100 Gbps -> fiber, above -> THz. The upper two edges are
     labelling conveniences to make the classification total, nothing more.
     """
+    if not math.isfinite(rate_bps):
+        raise ValueError(f"rate_bps must be finite, got {rate_bps!r}")
     if rate_bps < 0:
         raise ValueError("rate_bps must be >= 0")
     if rate_bps == 0:

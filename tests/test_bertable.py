@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 
 from twolane import bertable
@@ -83,11 +86,19 @@ def test_lookup_interpolation():
         t.lookup("B", "16PSK", 350, interpolate=True)
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("interpolate", [False, True])
+def test_lookup_rejects_non_finite_distance(distance, interpolate):
+    t = parse_ber_table(table_text(["B,16PSK,200,0.01", "B,16PSK,300,0.03"]))
+    with pytest.raises(BerTableError, match=f"distance {distance} cm is not finite"):
+        t.lookup("B", "16PSK", distance, interpolate=interpolate)
+
+
 # ------------------------------------------------------------------- fixture
 
 
 def test_fixture_has_37_points_per_group():
-    t = bertable.synthetic_ber_table()
+    t = bertable.load_builtin_table()
     assert len(t.groups()) == 4
     assert len(t.curve("B", "16PSK")) == 37
     distances = [p.distance_cm for p in t.curve("B", "16PSK")]
@@ -96,14 +107,14 @@ def test_fixture_has_37_points_per_group():
 
 
 def test_fixture_monotone_in_distance():
-    t = bertable.synthetic_ber_table()
+    t = bertable.load_builtin_table()
     for group in t.groups():
         values = [p.bit_error_rate for p in t.curve(*group)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_fixture_monotone_in_modulation_level_and_channel():
-    t = bertable.synthetic_ber_table()
+    t = bertable.load_builtin_table()
     for d in range(200, 2001, 50):
         b8 = t.lookup("B", "8PSK", d)
         b16 = t.lookup("B", "16PSK", d)
@@ -118,7 +129,7 @@ def test_fixture_monotone_in_modulation_level_and_channel():
 def test_fixture_needs_redundancy_past_documented_distances():
     from twolane.fec import FecParams, derive
 
-    t = bertable.synthetic_ber_table()
+    t = bertable.load_builtin_table()
     first_redundant = {}
     for group in t.groups():
         for p in t.curve(*group):
@@ -136,14 +147,17 @@ def test_fixture_needs_redundancy_past_documented_distances():
     }
 
 
-def test_builtin_file_matches_generator(tmp_path):
-    generated = bertable.synthetic_ber_table()
-    packaged = bertable.load_builtin_table()
-    assert packaged.points == generated.points
+def test_builtin_table_bytes_pinned(tmp_path):
+    # pins all four curves; the golden CSVs cover only B-16PSK
+    path = tmp_path / "builtin.csv"
+    bertable.save_ber_table(bertable.load_builtin_table(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "48acb3ac2a6e942ef60e890edd6be98118c266b6fb443a1fc58e303cb0f2152f"
+    )
 
 
 def test_save_load_round_trip(tmp_path):
-    t = bertable.synthetic_ber_table()
+    t = bertable.load_builtin_table()
     path = tmp_path / "t.csv"
     bertable.save_ber_table(t, path)
     again = bertable.load_ber_table(path)

@@ -1,7 +1,7 @@
 import pytest
 
 from twolane import cli
-from twolane.bertable import save_ber_table, synthetic_ber_table
+from twolane.bertable import load_builtin_table, save_ber_table
 from twolane.scenario import SIM_COLUMNS, SWEEP_COLUMNS, read_sweep_csv
 
 from conftest import scenario_text
@@ -9,7 +9,7 @@ from conftest import scenario_text
 
 @pytest.fixture
 def workdir(tmp_path):
-    save_ber_table(synthetic_ber_table(), tmp_path / "ber.csv")
+    save_ber_table(load_builtin_table(), tmp_path / "ber.csv")
     (tmp_path / "scn.scn").write_text(
         scenario_text(extra="ber_table = ber.csv"), encoding="utf-8"
     )
@@ -29,6 +29,14 @@ def test_classify_zero(capsys):
 def test_classify_negative_is_validation_error(capsys):
     assert cli.main(["classify", "--", "-5"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_classify_non_finite_is_validation_error(rate, capsys):
+    assert cli.main(["classify", rate]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rate_bps must be finite, got {rate}" in captured.err
 
 
 def test_plan_single_row_to_stdout(workdir, capsys):

@@ -1,4 +1,4 @@
-"""Smoke test: the walkthrough demos run to completion.
+"""Smoke test: the walkthrough demos and the README quick start run.
 
 Demo 04 is left out: its Monte Carlo cross-check takes several seconds,
 and the acceptance and simulator tests already cover what it shows.
@@ -21,3 +21,14 @@ def test_demo_exits_cleanly(demo):
         [sys.executable, str(DEMOS / demo)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    lp = namespace["lp"]
+    assert lp.redundancy == 18
+    assert lp.total_rate == lp.overhead == 0.5
+    assert lp.t_main == pytest.approx(lp.t_aux, rel=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolane import scenario
-from twolane.bertable import parse_ber_table, synthetic_ber_table
+from twolane.bertable import load_builtin_table, parse_ber_table
 from twolane.scenario import (
     ScenarioError,
     SWEEP_COLUMNS,
@@ -116,6 +116,19 @@ def test_parse_scenario_rejects_bad_grid():
         ("d_main_step_cm = 50", "d_main_step_cm = nan", "'d_main_step_cm': not a finite"),
         ("fec_code_rate = 0.8", "fec_code_rate = -inf", "'fec_code_rate': not a finite"),
         ("d_aux_cm = 150", "d_aux_cm = inf", "'d_aux_cm': not a finite"),
+        # the FecParams and LinkParams rules, at parse time rather than at a planned distance
+        ("K = 30", "K = 0", "k must be >= 1"),
+        ("s = 8", "s = 0", "s must be >= 1"),
+        ("fec_code_rate = 0.8", "fec_code_rate = 1.5", "code_rate must be in (0, 1]"),
+        ("fec_code_rate = 0.8", "fec_code_rate = 0", "code_rate must be in (0, 1]"),
+        ("d_aux_cm = 150", "d_aux_cm = -5", "distances must be >= 0"),
+        ("d_main_start_cm = 200", "d_main_start_cm = -50", "distances must be >= 0"),
+        ("main_rate_bps = 800000000000.0", "main_rate_bps = 0", "main_rate must be > 0"),
+        (
+            "d_main_step_cm = 50",
+            "d_main_step_cm = 0.0001",
+            "d_main_step_cm = 0.0001 gives 18000001 grid points, cap 100000",
+        ),
     ],
     ids=[
         "fractional-K",
@@ -129,6 +142,14 @@ def test_parse_scenario_rejects_bad_grid():
         "nan-step",
         "inf-code-rate",
         "inf-aux-distance",
+        "zero-K",
+        "zero-s",
+        "code-rate-above-1",
+        "zero-code-rate",
+        "negative-aux-distance",
+        "negative-start",
+        "zero-rate",
+        "oversized-grid",
     ],
 )
 def test_parse_scenario_rejects_bad_number(old, new, message):
@@ -158,6 +179,16 @@ def test_scenario_rejects_non_finite_distance(field, value):
     sc = parse_scenario(scenario_text())
     with pytest.raises(ScenarioError, match=f"{field} must be finite"):
         dataclasses.replace(sc, **{field: value})
+
+
+def test_grid_size_cap():
+    sc = parse_scenario(scenario_text(d_start=0, d_stop=99_999, d_step=1))
+    assert sc.grid_size() == scenario.MAX_GRID_POINTS == len(sc.distances_cm())
+    with pytest.raises(ScenarioError, match="gives 100001 grid points"):
+        dataclasses.replace(sc, d_stop_cm=100_000)
+    # a span over the step that overflows is rejected, not raised as OverflowError
+    with pytest.raises(ScenarioError, match="gives inf grid points"):
+        dataclasses.replace(sc, d_stop_cm=1e308, d_step_cm=1e-10)
 
 
 def test_single_point_grid():
@@ -207,7 +238,7 @@ def test_sweep_records_row_errors_and_continues():
 
 def test_sweep_rows_are_order_independent():
     sc = parse_scenario(scenario_text())
-    table = synthetic_ber_table()
+    table = load_builtin_table()
     rows, _ = sweep(sc, table)
     by_distance = {r.d_main_cm: r for r in rows}
     for d in reversed(sc.distances_cm()):
@@ -216,14 +247,14 @@ def test_sweep_rows_are_order_independent():
 
 def test_sweep_redundancy_consistent_with_residual_ser():
     sc = parse_scenario(scenario_text())
-    rows, _ = sweep(sc, synthetic_ber_table())
+    rows, _ = sweep(sc, load_builtin_table())
     for r in rows:
         assert r.redundancy == max(0, math.ceil(r.p_residual_symbol * 30 - 1e-9))
 
 
 def test_sweep_equal_distance_policy_rate_ratio():
     sc = parse_scenario(scenario_text(aux_policy="equal_to_main", aux_cm=None))
-    rows, errors = sweep(sc, synthetic_ber_table())
+    rows, errors = sweep(sc, load_builtin_table())
     assert not errors
     for r in rows:
         if r.redundancy > 0:
@@ -234,7 +265,7 @@ def test_sweep_equal_distance_policy_rate_ratio():
 
 def test_sweep_csv_round_trip(tmp_path):
     sc = parse_scenario(scenario_text())
-    rows, _ = sweep(sc, synthetic_ber_table())
+    rows, _ = sweep(sc, load_builtin_table())
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     text = path.read_text(encoding="utf-8")
@@ -272,7 +303,7 @@ def test_sweep_csv_write_read_identity(rows):
     ids=["short", "extra-field", "non-numeric", "fractional-R"],
 )
 def test_read_sweep_csv_rejects_malformed_row(tmp_path, row, message):
-    rows, _ = sweep(parse_scenario(scenario_text()), synthetic_ber_table())
+    rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows[:2], path)
     with open(path, "a", encoding="utf-8") as f:
