@@ -14,7 +14,18 @@ coded symbols over a slower error-free auxiliary lane:
   scenario  scenario files, sweeps, technology labels, CSV output
   cli       'twolane' command line front end
 
-Import each name from its module; the package root holds only __version__.
+Import each name from its module. The package root binds only __version__;
+the three numpy-backed submodules (gf256, codec, sim) also load on first
+attribute access, so ``twolane.sim`` works after a bare ``import twolane``
+while ``plan``, ``sweep`` and ``classify`` never import numpy.
 """
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("codec", "gf256", "sim"):
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from .bertable import BerTableError, load_ber_table, load_builtin_table
+from .fec import ERROR_MODES
 from .planner import InfeasibleAuxDistanceError
 from .scenario import (
     ScenarioError,
@@ -28,7 +29,6 @@ from .scenario import (
     write_sim_csv,
     write_sweep_csv,
 )
-from .sim import ERROR_MODES
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:

@@ -21,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# The simulator's main-lane error models; both apply the residual-error model below.
+ERROR_MODES = ("analytic-erasure", "bit-level")
+
 
 def snap(x: float) -> float:
     """``x`` as the nearest integer when within 1e-9 of it, else ``x`` unchanged.

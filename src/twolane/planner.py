@@ -45,8 +45,9 @@ class LinkParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.main_rate <= 0:
             raise ValueError("main_rate must be > 0")
-        if self.main_distance < 0 or self.aux_distance < 0:
-            raise ValueError("distances must be >= 0")
+        for name in ("main_distance", "aux_distance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,6 @@ from typing import get_type_hints
 from .bertable import BerTable
 from .fec import FecParams, snap
 from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
-from .sim import SimConfig, SimReport, run
 
 AUX_POLICIES = ("fixed", "equal_to_main")
 
@@ -200,13 +199,13 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         except ValueError:
             x = math.nan
         if not math.isfinite(x):
-            raise ScenarioError(f"{source}: key {key!r}: not a finite number: {values[key]!r}")
+            raise ScenarioError(f"key {key!r}: not a finite number: {values[key]!r}")
         return x
 
     def whole(key: str) -> int:
         x = number(key)
         if x != int(x):
-            raise ScenarioError(f"{source}: key {key!r}: not a whole number: {values[key]!r}")
+            raise ScenarioError(f"key {key!r}: not a whole number: {values[key]!r}")
         return int(x)
 
     if "main_rate_bps" in values:
@@ -214,15 +213,27 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError(
                 f"{source}: give either main_rate_bps or baud_rate + bits_per_symbol, not both"
             )
-        main_rate = number("main_rate_bps")
+        rate_key = "main_rate_bps"
     elif "baud_rate" in values and "bits_per_symbol" in values:
-        main_rate = main_rate_from_baud(number("baud_rate"), whole("bits_per_symbol"))
+        rate_key = "baud_rate * bits_per_symbol"
     else:
         raise ScenarioError(
             f"{source}: main-lane rate missing: main_rate_bps or baud_rate + bits_per_symbol"
         )
+    # FecParams and LinkParams messages start with their field; report the key instead
+    keys = {
+        "k": "K",
+        "code_rate": "fec_code_rate",
+        "main_rate": rate_key,
+        "main_distance": "d_main_start_cm",
+        "aux_distance": "d_aux_cm",
+    }
 
     try:
+        if rate_key == "main_rate_bps":
+            main_rate = number("main_rate_bps")
+        else:
+            main_rate = main_rate_from_baud(number("baud_rate"), whole("bits_per_symbol"))
         return Scenario(
             k=whole("K"),
             s=whole("s"),
@@ -240,7 +251,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             seed=whole("seed") if "seed" in values else 0,
         )
     except ValueError as exc:
-        raise ScenarioError(f"{source}: {exc}") from None
+        field, _, rule = str(exc).partition(" ")
+        raise ScenarioError(f"{source}: {keys.get(field, field)} {rule}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -408,6 +420,19 @@ class SimRow:
 _sim_values = attrgetter(*(f.name for f in fields(SimRow)))
 
 
+def run(cfg):
+    """``sim.run(cfg)``, importing the numpy-backed simulator on first use.
+
+    Importing it here rather than at module level keeps numpy out of
+    ``plan``, ``sweep`` and ``classify``. ``simulate`` calls this once per
+    distance through the module global, so a caller can wrap or replace
+    ``scenario.run`` to see every SimReport.
+    """
+    from . import sim
+
+    return sim.run(cfg)
+
+
 def simulate(
     sc: Scenario,
     table: BerTable,
@@ -417,6 +442,8 @@ def simulate(
     seed: int | None = None,
 ) -> tuple[list[SimRow], list[RowError]]:
     """Monte Carlo per grid distance, next to the analytic predictions."""
+    from .sim import SimConfig
+
     if generations < 1:
         raise ValueError("generations must be >= 1")
     if seed is not None:
@@ -431,7 +458,7 @@ def simulate(
         except InfeasibleAuxDistanceError as exc:
             errors.append(RowError(d_main_cm=d, message=str(exc)))
             continue
-        report: SimReport = run(
+        report = run(
             SimConfig(
                 link=link,
                 plan=lp,

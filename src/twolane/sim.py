@@ -47,10 +47,8 @@ from .codec import (
     encode,
     make_coefficients,
 )
-from .fec import snap
+from .fec import ERROR_MODES, snap
 from .planner import LinkParams, LinkPlan, lane_times
-
-ERROR_MODES = ("analytic-erasure", "bit-level")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twolane import cli
@@ -181,3 +187,70 @@ def test_bad_ber_table_is_validation_error(workdir, capsys):
     )
     assert rc == 1
     assert "header" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ cold start
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SHIPPED = SRC.parent / "scenarios" / "channel_b_16psk.scn"
+
+
+def fresh_python(code: str, cwd) -> dict:
+    """Run ``code`` in a new interpreter importing twolane from src; its last line is JSON."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SHIPPED)],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_plan_sweep_and_classify_never_import_numpy(tmp_path):
+    code = """
+import json, sys
+import twolane.cli as cli
+scn = sys.argv[1]
+seen = {"import": "numpy" in sys.modules}
+for argv in (
+    ["plan", "--scenario", scn, "--out", "plan.csv"],
+    ["sweep", "--scenario", scn, "--out", "sweep.csv"],
+    ["classify", "1e9"],
+    ["simulate", "--scenario", scn, "--generations", "1", "--out", "sim.csv"],
+):
+    assert cli.main(argv) == 0, argv
+    seen[argv[0]] = "numpy" in sys.modules
+print(json.dumps(seen))
+"""
+    assert fresh_python(code, tmp_path) == {
+        "import": False,
+        "plan": False,
+        "sweep": False,
+        "classify": False,
+        "simulate": True,
+    }
+
+
+def test_package_root_loads_the_numpy_backed_submodules_on_access(tmp_path):
+    code = """
+import json, sys
+import twolane
+seen = {"numpy": "numpy" in sys.modules}
+seen.update((name, getattr(twolane, name).__name__) for name in ("sim", "codec", "gf256"))
+try:
+    twolane.nope
+except AttributeError as exc:
+    seen["nope"] = str(exc)
+print(json.dumps(seen))
+"""
+    assert fresh_python(code, tmp_path) == {
+        "numpy": False,
+        "sim": "twolane.sim",
+        "codec": "twolane.codec",
+        "gf256": "twolane.gf256",
+        "nope": "module 'twolane' has no attribute 'nope'",
+    }

@@ -101,29 +101,39 @@ def test_parse_scenario_rejects_bad_grid():
 @pytest.mark.parametrize(
     "old,new,message",
     [
-        ("K = 30", "K = 30.7", "'K': not a whole number: '30.7'"),
-        ("s = 8", "s = 8.5", "'s': not a whole number: '8.5'"),
+        ("K = 30", "K = 30.7", "key 'K': not a whole number: '30.7'"),
+        ("s = 8", "s = 8.5", "key 's': not a whole number: '8.5'"),
         (
             "main_rate_bps = 800000000000.0",
             "baud_rate = 25e9\nbits_per_symbol = 4.5",
-            "'bits_per_symbol': not a whole number: '4.5'",
+            "key 'bits_per_symbol': not a whole number: '4.5'",
         ),
-        ("seed = 7", "seed = 1.9", "'seed': not a whole number: '1.9'"),
+        ("seed = 7", "seed = 1.9", "key 'seed': not a whole number: '1.9'"),
         ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
-        ("K = 30", "K = abc", "'K': not a finite number: 'abc'"),
-        ("main_rate_bps = 800000000000.0", "main_rate_bps = inf", "'main_rate_bps': not a finite"),
-        ("main_rate_bps = 800000000000.0", "main_rate_bps = nan", "'main_rate_bps': not a finite"),
-        ("d_main_step_cm = 50", "d_main_step_cm = nan", "'d_main_step_cm': not a finite"),
-        ("fec_code_rate = 0.8", "fec_code_rate = -inf", "'fec_code_rate': not a finite"),
-        ("d_aux_cm = 150", "d_aux_cm = inf", "'d_aux_cm': not a finite"),
-        # the FecParams and LinkParams rules, at parse time rather than at a planned distance
-        ("K = 30", "K = 0", "k must be >= 1"),
+        ("K = 30", "K = abc", "key 'K': not a finite number: 'abc'"),
+        ("main_rate_bps = 800000000000.0", "main_rate_bps = inf", "key 'main_rate_bps': not a finite"),
+        ("main_rate_bps = 800000000000.0", "main_rate_bps = nan", "key 'main_rate_bps': not a finite"),
+        ("d_main_step_cm = 50", "d_main_step_cm = nan", "key 'd_main_step_cm': not a finite"),
+        ("fec_code_rate = 0.8", "fec_code_rate = -inf", "key 'fec_code_rate': not a finite"),
+        ("d_aux_cm = 150", "d_aux_cm = inf", "key 'd_aux_cm': not a finite"),
+        # the FecParams and LinkParams rules, at parse time and naming the scenario key
+        ("K = 30", "K = 0", "K must be >= 1"),
         ("s = 8", "s = 0", "s must be >= 1"),
-        ("fec_code_rate = 0.8", "fec_code_rate = 1.5", "code_rate must be in (0, 1]"),
-        ("fec_code_rate = 0.8", "fec_code_rate = 0", "code_rate must be in (0, 1]"),
-        ("d_aux_cm = 150", "d_aux_cm = -5", "distances must be >= 0"),
-        ("d_main_start_cm = 200", "d_main_start_cm = -50", "distances must be >= 0"),
-        ("main_rate_bps = 800000000000.0", "main_rate_bps = 0", "main_rate must be > 0"),
+        ("fec_code_rate = 0.8", "fec_code_rate = 1.5", "fec_code_rate must be in (0, 1]"),
+        ("fec_code_rate = 0.8", "fec_code_rate = 0", "fec_code_rate must be in (0, 1]"),
+        ("d_aux_cm = 150", "d_aux_cm = -5", "d_aux_cm must be >= 0"),
+        ("d_main_start_cm = 200", "d_main_start_cm = -50", "d_main_start_cm must be >= 0"),
+        ("main_rate_bps = 800000000000.0", "main_rate_bps = 0", "main_rate_bps must be > 0"),
+        (
+            "main_rate_bps = 800000000000.0",
+            "baud_rate = 0\nbits_per_symbol = 4",
+            "baud_rate must be > 0",
+        ),
+        (
+            "main_rate_bps = 800000000000.0",
+            "baud_rate = 1e308\nbits_per_symbol = 8",
+            "baud_rate * bits_per_symbol must be finite, got inf",
+        ),
         (
             "d_main_step_cm = 50",
             "d_main_step_cm = 0.0001",
@@ -149,6 +159,8 @@ def test_parse_scenario_rejects_bad_grid():
         "negative-aux-distance",
         "negative-start",
         "zero-rate",
+        "zero-baud-rate",
+        "overflowing-baud-rate",
         "oversized-grid",
     ],
 )
@@ -156,7 +168,7 @@ def test_parse_scenario_rejects_bad_number(old, new, message):
     lines = scenario_text().splitlines()
     text = "\n".join(new if line == old else line for line in lines)
     assert old in lines
-    with pytest.raises(ScenarioError, match=f"bad.scn: .*{re.escape(message)}"):
+    with pytest.raises(ScenarioError, match=f"^bad\\.scn: {re.escape(message)}"):
         parse_scenario(text, source="bad.scn")
 
 
