@@ -3,8 +3,9 @@
 The raw bit error rate of the main lane is not modelled here; it is
 ingested as a CSV table with header ``channel_id,modulation,distance_cm,p_e``
 holding one curve per (channel, modulation) pair, sampled at strictly
-increasing distances. Lookups are exact-match by default; linear
-interpolation between neighbouring distances is available behind a flag.
+increasing distances. Lookups are exact-match (within 1e-9 cm) by default;
+linear interpolation between neighbouring distances is available behind a
+flag. One bisection of the curve finds the match or the segment.
 
 ``load_builtin_table()`` builds a synthetic fixture so sweeps and demos run
 out of the box (``ber_table = builtin`` in a scenario): four curves of the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 HEADER = ("channel_id", "modulation", "distance_cm", "p_e")
@@ -72,10 +74,15 @@ class BerTable:
         return sorted(self._groups)
 
     def curve(self, channel: str, modulation: str) -> list[BerPoint]:
-        key = (channel, modulation)
-        if key not in self._groups:
-            raise BerTableError(f"no rows for channel {channel!r} modulation {modulation!r}")
-        return list(self._groups[key])
+        return list(self._curve(channel, modulation))
+
+    def _curve(self, channel: str, modulation: str) -> list[BerPoint]:
+        try:
+            return self._groups[(channel, modulation)]
+        except KeyError:
+            raise BerTableError(
+                f"no rows for channel {channel!r} modulation {modulation!r}"
+            ) from None
 
     def lookup(
         self,
@@ -87,24 +94,25 @@ class BerTable:
         """BER at one distance: exact grid match, or linear if asked."""
         if not math.isfinite(distance_cm):
             raise BerTableError(f"distance {distance_cm} cm is not finite")
-        rows = self.curve(channel, modulation)
-        for p in rows:
-            if abs(p.distance_cm - distance_cm) <= _DISTANCE_TOL:
-                return p.bit_error_rate
+        rows = self._curve(channel, modulation)
+        # the first point not below distance_cm by more than 1e-9 cm, keyed on the
+        # difference as the match test is: distance_cm +- 1e-9 can round onto a point
+        i = bisect_left(rows, -_DISTANCE_TOL, key=lambda p: p.distance_cm - distance_cm)
+        if i < len(rows) and rows[i].distance_cm - distance_cm <= _DISTANCE_TOL:
+            return rows[i].bit_error_rate
         if not interpolate:
             raise BerTableError(
                 f"no table point at {distance_cm} cm for ({channel}, {modulation}); "
                 "rerun with interpolation enabled or adjust the sweep grid"
             )
-        if distance_cm < rows[0].distance_cm or distance_cm > rows[-1].distance_cm:
+        if i in (0, len(rows)):
             raise BerTableError(
                 f"{distance_cm} cm outside the tabulated range "
                 f"[{rows[0].distance_cm}, {rows[-1].distance_cm}] for ({channel}, {modulation})"
             )
-        for a, b in zip(rows, rows[1:]):
-            if a.distance_cm <= distance_cm <= b.distance_cm:
-                frac = (distance_cm - a.distance_cm) / (b.distance_cm - a.distance_cm)
-                return a.bit_error_rate + frac * (b.bit_error_rate - a.bit_error_rate)
+        a, b = rows[i - 1], rows[i]
+        frac = (distance_cm - a.distance_cm) / (b.distance_cm - a.distance_cm)
+        return a.bit_error_rate + frac * (b.bit_error_rate - a.bit_error_rate)
 
 
 def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
@@ -131,8 +139,6 @@ def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
         if not 0 <= ber <= 1:
             raise BerTableError(f"{source}: row {lineno}: p_e {ber} out of [0, 1]")
         points.append(BerPoint(channel, modulation, distance, ber))
-    if not points:
-        raise BerTableError(f"{source}: empty table")
     try:
         return BerTable(points)
     except BerTableError as exc:

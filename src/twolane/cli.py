@@ -7,8 +7,8 @@ Subcommands:
     simulate  Monte Carlo per distance -> CSV with analytic columns
     classify  auxiliary rate in bits/s -> technology label
 
-Exit codes: 0 success, 1 validation error, 2 when every requested point is
-infeasible (auxiliary distance beyond the delay-matching bound).
+Exit codes: 0 success, 1 invalid or unreadable input, 2 when every requested
+point is infeasible (auxiliary distance beyond the delay-matching bound).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bertable import BerTableError, load_ber_table, load_builtin_table
+from .bertable import load_ber_table, load_builtin_table
 from .fec import ERROR_MODES
 from .planner import InfeasibleAuxDistanceError
 from .scenario import (
@@ -135,7 +135,7 @@ def main(argv=None) -> int:
             return 2
         _emit(rows, write_csv, out_path)
         return 0
-    except (ScenarioError, BerTableError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,8 @@ the missing natives: Gauss-Jordan elimination runs on the coefficients
 alone, one table-row product per pivot with the pivot row's scale folded
 into the update, then the payload bytes are multiplied once by
 ``gf256.matmul``, the kernel that also encodes. Natives that survived are
-emitted as-is.
+emitted as-is. ``decode`` checks the received entries in the one walk that
+sorts them into natives and coded payloads.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -83,20 +84,10 @@ class ReceivedSymbol(NamedTuple):
 
 @dataclass(frozen=True)
 class ReceivedGeneration:
-    """Symbols of one generation that survived the channel."""
+    """Symbols of one generation that survived the channel; ``decode`` checks them."""
 
     entries: tuple[ReceivedSymbol, ...]
     generation_id: int = 0
-
-    def __post_init__(self):
-        seen = set()
-        for e in self.entries:
-            if e.kind not in ("native", "coded"):
-                raise ValueError(f"unknown symbol kind {e.kind!r}")
-            key = (e.kind, e.index)
-            if key in seen:
-                raise ValueError(f"duplicate received symbol {key}")
-            seen.add(key)
 
 
 @dataclass
@@ -142,43 +133,48 @@ def decode(
     unknown per missing native). With zero missing natives no elimination
     is performed at all.
 
-    Raises InsufficientSymbolsError when fewer than ``k`` symbols arrived,
-    and SingularSystemError when enough symbols arrived but their implied
-    coefficient rows do not reach rank ``k``.
+    Raises ValueError for a malformed entry (unknown kind, duplicate, index
+    out of range, unequal length), InsufficientSymbolsError when fewer than
+    ``k`` symbols arrived, and SingularSystemError when enough symbols
+    arrived but their implied coefficient rows do not reach rank ``k``.
     """
     if stats is None:
         stats = DecodeStats()
     _check_coefficients(coeffs, k)
     r = coeffs.shape[1]
 
-    native_payloads: dict[int, bytes] = {}
-    coded_cols: list[int] = []
-    coded_payloads: list[bytes] = []
-    length = None
-    for e in received.entries:
-        if length is None:
-            length = len(e.payload)
-        elif len(e.payload) != length:
+    entries = received.entries
+    natives: list[bytes | None] = [None] * k
+    coded: list[bytes | None] = [None] * r
+    coded_cols: list[int] = []  # in received order, the elimination's row order
+    length = len(entries[0].payload) if entries else None
+    for kind, index, payload in entries:
+        if len(payload) != length:
             raise ValueError("received payloads must have equal length")
-        if e.kind == "native":
-            if not 0 <= e.index < k:
-                raise ValueError(f"native index {e.index} out of range for k={k}")
-            native_payloads[e.index] = e.payload
+        if kind == "native":
+            if not 0 <= index < k:
+                raise ValueError(f"native index {index} out of range for k={k}")
+            seen = natives[index] is not None
+            natives[index] = payload
+        elif kind == "coded":
+            if not 0 <= index < r:
+                raise ValueError(f"coded index {index} out of range for r={r}")
+            seen = coded[index] is not None
+            coded[index] = payload
+            coded_cols.append(index)
         else:
-            if not 0 <= e.index < r:
-                raise ValueError(f"coded index {e.index} out of range for r={r}")
-            coded_cols.append(e.index)
-            coded_payloads.append(e.payload)
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        if seen:
+            raise ValueError(f"duplicate received symbol {(kind, index)}")
 
-    if len(received.entries) < k:
+    if len(entries) < k:
         raise InsufficientSymbolsError(
-            f"insufficient symbols: received {len(received.entries)} of {k} required"
+            f"insufficient symbols: received {len(entries)} of {k} required"
         )
 
-    missing = [i for i in range(k) if i not in native_payloads]
+    missing = [i for i, p in enumerate(natives) if p is None]
     if not missing:
-        symbols = tuple(native_payloads[i] for i in range(k))
-        return Generation(symbols=symbols, generation_id=received.generation_id)
+        return Generation(symbols=tuple(natives), generation_id=received.generation_id)
 
     m = len(missing)
     n = len(coded_cols)  # n >= m is implied by len(entries) >= k
@@ -188,7 +184,7 @@ def decode(
     # payload, so A x = S present + coded (minus is plus in GF(2^8)).
     # Reducing A to the identity turns S | I_n into T S | T; row c of that,
     # times the surviving payloads stacked on the coded ones, is missing c.
-    present = sorted(native_payloads)
+    present = [i for i, p in enumerate(natives) if p is not None]
     ab = np.zeros((n, k + n), dtype=np.uint8)
     ab[:, :k] = coeffs.take(missing + present, axis=0).take(coded_cols, axis=1).T
     np.fill_diagonal(ab[:, k:], 1)
@@ -220,8 +216,7 @@ def decode(
             f"singular system: rank {row} < {m} unknowns from {n} coded symbols"
         )
 
-    payloads = _payload_matrix([native_payloads[i] for i in present] + coded_payloads)
+    payloads = _payload_matrix([natives[i] for i in present] + [coded[j] for j in coded_cols])
     for native_idx, payload in zip(missing, gf256.matmul(ab[:m, m:], payloads)):
-        native_payloads[native_idx] = payload.tobytes()
-    symbols = tuple(native_payloads[i] for i in range(k))
-    return Generation(symbols=symbols, generation_id=received.generation_id)
+        natives[native_idx] = payload.tobytes()
+    return Generation(symbols=tuple(natives), generation_id=received.generation_id)

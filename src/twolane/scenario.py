@@ -82,6 +82,15 @@ class ScenarioError(ValueError):
     """Malformed or incomplete scenario input."""
 
 
+_LINK_FIELD_KEYS = {
+    "k": "K",
+    "code_rate": "fec_code_rate",
+    "main_rate": "main_rate_bps",
+    "main_distance": "d_main_start_cm",
+    "aux_distance": "d_aux_cm",
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     k: int
@@ -118,11 +127,12 @@ class Scenario:
             )
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
-        # the FecParams and LinkParams rules, checked once here and not at the first point
+        # the FecParams and LinkParams rules, checked once here; name the key, not the field
         try:
             self.link_for(self.d_start_cm, 0.0)
         except ValueError as exc:
-            raise ScenarioError(str(exc)) from None
+            field, _, rule = str(exc).partition(" ")
+            raise ScenarioError(f"{_LINK_FIELD_KEYS.get(field, field)} {rule}") from None
 
     def grid_size(self) -> int | float:
         """Number of grid distances; inf when the span over the step overflows."""
@@ -132,12 +142,8 @@ class Scenario:
     def distances_cm(self) -> list[float]:
         return [self.d_start_cm + i * self.d_step_cm for i in range(self.grid_size())]
 
-    def aux_distance_for(self, d_main_cm: float) -> float:
-        if self.aux_policy == "equal_to_main":
-            return d_main_cm
-        return float(self.aux_distance_cm)
-
     def link_for(self, d_main_cm: float, bit_error_rate: float) -> LinkParams:
+        aux_cm = d_main_cm if self.aux_policy == "equal_to_main" else self.aux_distance_cm
         return LinkParams(
             fec=FecParams(
                 k=self.k,
@@ -147,7 +153,7 @@ class Scenario:
             ),
             main_rate=self.main_rate,
             main_distance=d_main_cm / 100.0,
-            aux_distance=self.aux_distance_for(d_main_cm) / 100.0,
+            aux_distance=aux_cm / 100.0,
         )
 
 
@@ -220,15 +226,6 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError(
             f"{source}: main-lane rate missing: main_rate_bps or baud_rate + bits_per_symbol"
         )
-    # FecParams and LinkParams messages start with their field; report the key instead
-    keys = {
-        "k": "K",
-        "code_rate": "fec_code_rate",
-        "main_rate": rate_key,
-        "main_distance": "d_main_start_cm",
-        "aux_distance": "d_aux_cm",
-    }
-
     try:
         if rate_key == "main_rate_bps":
             main_rate = number("main_rate_bps")
@@ -252,7 +249,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         )
     except ValueError as exc:
         field, _, rule = str(exc).partition(" ")
-        raise ScenarioError(f"{source}: {keys.get(field, field)} {rule}") from None
+        field = rate_key if field == "main_rate_bps" else field
+        raise ScenarioError(f"{source}: {field} {rule}") from None
 
 
 def load_scenario(path) -> Scenario:

@@ -61,12 +61,12 @@ class SimConfig:
     payload_len: int = 8  # bytes per simulated symbol payload
 
     def __post_init__(self):
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+        for name, least in (("generations", 1), ("rng_seed", 0), ("payload_len", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}")
-        if self.payload_len < 1:
-            raise ValueError("payload_len must be >= 1")
 
 
 @dataclass

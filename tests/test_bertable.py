@@ -2,6 +2,8 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twolane import bertable
 from twolane.bertable import BerTableError, parse_ber_table
@@ -92,6 +94,75 @@ def test_lookup_rejects_non_finite_distance(distance, interpolate):
     t = parse_ber_table(table_text(["B,16PSK,200,0.01", "B,16PSK,300,0.03"]))
     with pytest.raises(BerTableError, match=f"distance {distance} cm is not finite"):
         t.lookup("B", "16PSK", distance, interpolate=interpolate)
+
+
+def lookup_ref(curve, distance_cm, interpolate):
+    """The linear-scan lookup that the bisection replaced: one scan for an
+    exact match within 1e-9 cm, a second for the interpolation segment."""
+    for p in curve:
+        if abs(p.distance_cm - distance_cm) <= 1e-9:
+            return p.bit_error_rate
+    if not interpolate:
+        raise BerTableError(
+            f"no table point at {distance_cm} cm for (B, 16PSK); "
+            "rerun with interpolation enabled or adjust the sweep grid"
+        )
+    if distance_cm < curve[0].distance_cm or distance_cm > curve[-1].distance_cm:
+        raise BerTableError(
+            f"{distance_cm} cm outside the tabulated range "
+            f"[{curve[0].distance_cm}, {curve[-1].distance_cm}] for (B, 16PSK)"
+        )
+    for a, b in zip(curve, curve[1:]):
+        if a.distance_cm <= distance_cm <= b.distance_cm:
+            frac = (distance_cm - a.distance_cm) / (b.distance_cm - a.distance_cm)
+            return a.bit_error_rate + frac * (b.bit_error_rate - a.bit_error_rate)
+
+
+def outcome(lookup, *args):
+    try:
+        return "value", lookup(*args)
+    except BerTableError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def curve_and_queries(draw):
+    distances = sorted(
+        draw(st.lists(st.floats(0, 5000), min_size=1, max_size=8, unique=True))
+    )
+    bers = draw(st.lists(st.floats(0, 1), min_size=len(distances), max_size=len(distances)))
+    near = st.one_of(
+        st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9]), st.floats(-2e-9, 2e-9)
+    )
+    grid = st.sampled_from(distances)
+    queries = draw(
+        st.lists(
+            st.one_of(
+                st.builds(lambda d, off: d + off, grid, near),
+                st.builds(lambda a, b: (a + b) / 2, grid, grid),
+                st.floats(-100, 5100),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    return list(zip(distances, bers)), queries
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(curve_and_queries(), st.booleans())
+# grid points where d - 1e-9 rounds onto the point while |point - d| > 1e-9,
+# and where point - d is exactly -1e-9
+@example(([(0.0, 0.1), (0.5, 0.2), (200.0, 0.3)], [1e-9, 0.5 - 1e-9, 0.5 + 1e-9, 200 - 1e-9]), False)
+@example(([(0.0, 0.1), (0.5, 0.2), (200.0, 0.3)], [1e-9, 0.5 - 1e-9, 0.5 + 1e-9, 200 - 1e-9]), True)
+def test_lookup_matches_linear_scan_reference(curve_queries, interpolate):
+    points, queries = curve_queries
+    curve = [bertable.BerPoint("B", "16PSK", d, ber) for d, ber in points]
+    table = bertable.BerTable(curve)
+    for d in queries:
+        assert outcome(table.lookup, "B", "16PSK", d, interpolate) == outcome(
+            lookup_ref, curve, d, interpolate
+        )
 
 
 # ------------------------------------------------------------------- fixture

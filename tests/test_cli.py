@@ -169,9 +169,15 @@ def test_simulate_bit_level_mode(workdir, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
-def test_missing_scenario_file_is_validation_error(capsys):
-    assert cli.main(["sweep", "--scenario", "/nonexistent/path.scn"]) == 1
-    assert "error" in capsys.readouterr().err
+def test_missing_scenario_file_is_validation_error(workdir, capsys):
+    # a directory raises IsADirectoryError, an OSError but no FileNotFoundError
+    for args in (
+        ["--scenario", "/nonexistent/path.scn"],
+        ["--scenario", str(workdir)],
+        ["--scenario", str(workdir / "scn.scn"), "--ber-table", str(workdir)],
+    ):
+        assert cli.main(["sweep", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bad_ber_table_is_validation_error(workdir, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -279,18 +281,31 @@ def test_generation_rejects_ragged_or_empty_payloads():
 
 
 def test_received_generation_rejects_duplicates():
-    with pytest.raises(ValueError, match="duplicate"):
-        ReceivedGeneration(
-            entries=(
-                ReceivedSymbol("native", 0, b"\x01"),
-                ReceivedSymbol("native", 0, b"\x02"),
-            )
+    # a ReceivedGeneration is built unchecked; decode rejects it
+    c = codec.make_coefficients(2, 2, seed=0)
+    natives = ReceivedGeneration(
+        entries=(
+            ReceivedSymbol("native", 0, b"\x01"),
+            ReceivedSymbol("native", 0, b"\x02"),
         )
+    )
+    with pytest.raises(ValueError, match=re.escape("duplicate received symbol ('native', 0)")):
+        codec.decode(natives, c, 2)
+    coded = ReceivedGeneration(
+        entries=(
+            ReceivedSymbol("coded", 0, b"\x01"),
+            ReceivedSymbol("native", 1, b"\x02"),
+            ReceivedSymbol("coded", 0, b"\x03"),
+        )
+    )
+    with pytest.raises(ValueError, match=re.escape("duplicate received symbol ('coded', 0)")):
+        codec.decode(coded, c, 2)
 
 
 def test_received_generation_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        ReceivedGeneration(entries=(ReceivedSymbol("junk", 0, b"\x01"),))
+    received = ReceivedGeneration(entries=(ReceivedSymbol("junk", 0, b"\x01"),))
+    with pytest.raises(ValueError, match="unknown symbol kind 'junk'"):
+        codec.decode(received, codec.make_coefficients(2, 1, seed=0), 2)
 
 
 def test_decode_rejects_out_of_range_indices():

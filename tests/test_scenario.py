@@ -193,6 +193,22 @@ def test_scenario_rejects_non_finite_distance(field, value):
         dataclasses.replace(sc, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("k", 0, "K must be >= 1"),
+        ("code_rate", 1.5, "fec_code_rate must be in (0, 1]"),
+        ("main_rate", math.inf, "main_rate_bps must be finite, got inf"),
+        ("d_start_cm", -50.0, "d_main_start_cm must be >= 0"),
+        ("aux_distance_cm", -1.0, "d_aux_cm must be >= 0"),
+    ],
+)
+def test_code_built_scenario_names_the_key(field, value, message):
+    sc = parse_scenario(scenario_text())
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(sc, **{field: value})
+
+
 def test_grid_size_cap():
     sc = parse_scenario(scenario_text(d_start=0, d_stop=99_999, d_step=1))
     assert sc.grid_size() == scenario.MAX_GRID_POINTS == len(sc.distances_cm())

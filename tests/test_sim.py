@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,3 +203,16 @@ def test_sim_config_validation():
         SimConfig(link=link, plan=lp, generations=1, error_mode="nonsense")
     with pytest.raises(ValueError):
         SimConfig(link=link, plan=lp, generations=1, payload_len=0)
+    # rejected here, naming the field, not inside sim.run
+    for kwargs, message in (
+        ({"generations": 2.5}, "generations must be an integer >= 1, got 2.5"),
+        ({"payload_len": 2.5}, "payload_len must be an integer >= 1, got 2.5"),
+        ({"rng_seed": 1.0}, "rng_seed must be an integer >= 0, got 1.0"),
+        ({"rng_seed": -1}, "rng_seed must be an integer >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SimConfig(link=link, plan=lp, **{"generations": 1, **kwargs})
+    numpy_ints = SimConfig(
+        link=link, plan=lp, generations=np.int64(2), rng_seed=np.uint32(3), payload_len=np.int8(4)
+    )
+    assert sim.run(numpy_ints).sent_generations == 2
