@@ -54,6 +54,11 @@ class BerTable:
             raise BerTableError("empty table")
         groups: dict[tuple[str, str], list[BerPoint]] = {}
         for p in points:
+            if not math.isfinite(p.distance_cm):
+                raise BerTableError(
+                    f"distance_cm {p.distance_cm} is not finite at "
+                    f"({p.channel}, {p.modulation}, p_e {p.bit_error_rate})"
+                )
             if not 0 <= p.bit_error_rate <= 1:
                 raise BerTableError(
                     f"p_e {p.bit_error_rate} out of [0, 1] at "

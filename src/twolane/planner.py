@@ -69,7 +69,10 @@ def main_rate_from_baud(baud_rate: float, bits_per_symbol: int) -> float:
         raise ValueError("baud_rate must be > 0")
     if bits_per_symbol < 1:
         raise ValueError("bits_per_symbol must be >= 1")
-    return baud_rate * bits_per_symbol
+    rate = baud_rate * bits_per_symbol
+    if not math.isfinite(rate):
+        raise ValueError(f"baud_rate * bits_per_symbol must be finite, got {rate!r}")
+    return rate
 
 
 def redundancy(residual_ser: float, k: int) -> int:

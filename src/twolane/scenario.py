@@ -15,7 +15,7 @@ Schema (distances in centimetres, converted to metres internally):
     d_main_stop_cm = 2000
     d_main_step_cm = 50
     d_aux_policy = fixed        'fixed' (needs d_aux_cm) or 'equal_to_main'
-    d_aux_cm = 150
+    d_aux_cm = 150              only with 'fixed'
     ber_table = path.csv        optional; CLI --ber-table overrides; the
                                 special value 'builtin' selects the built-in
                                 synthetic fixture
@@ -113,6 +113,8 @@ class Scenario:
             raise ScenarioError(f"d_aux_policy must be one of {AUX_POLICIES}")
         if self.aux_policy == "fixed" and self.aux_distance_cm is None:
             raise ScenarioError("d_aux_policy 'fixed' requires d_aux_cm")
+        if self.aux_policy == "equal_to_main" and self.aux_distance_cm is not None:
+            raise ScenarioError("d_aux_cm is only allowed with d_aux_policy 'fixed'")
         for name in ("d_start_cm", "d_stop_cm", "d_step_cm"):
             if not math.isfinite(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -157,26 +159,41 @@ class Scenario:
         )
 
 
-_REQUIRED_KEYS = (
-    "K",
-    "s",
-    "fec_code_rate",
-    "channel",
-    "modulation",
-    "d_main_start_cm",
-    "d_main_stop_cm",
-    "d_main_step_cm",
-    "d_aux_policy",
-)
-_OPTIONAL_KEYS = (
-    "main_rate_bps",
-    "baud_rate",
-    "bits_per_symbol",
-    "d_aux_cm",
-    "ber_table",
-    "output",
-    "seed",
-)
+def _parse(key: str, value: str, kind: type) -> str | float | int:
+    """``value`` as text (str), a finite number (float) or a whole number (int)."""
+    if kind is str:
+        return value
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ScenarioError(f"key {key!r}: not a finite number: {value!r}")
+    if kind is int and x != int(x):
+        raise ScenarioError(f"key {key!r}: not a whole number: {value!r}")
+    return kind(x)
+
+
+# key: (Scenario field it sets, value kind for _parse, required). baud_rate and
+# bits_per_symbol set no field of their own: their product is main_rate.
+_KEYS = {
+    "K": ("k", int, True),
+    "s": ("s", int, True),
+    "fec_code_rate": ("code_rate", float, True),
+    "channel": ("channel", str, True),
+    "modulation": ("modulation", str, True),
+    "main_rate_bps": ("main_rate", float, False),
+    "baud_rate": (None, float, False),
+    "bits_per_symbol": (None, int, False),
+    "d_main_start_cm": ("d_start_cm", float, True),
+    "d_main_stop_cm": ("d_stop_cm", float, True),
+    "d_main_step_cm": ("d_step_cm", float, True),
+    "d_aux_policy": ("aux_policy", str, True),
+    "d_aux_cm": ("aux_distance_cm", float, False),
+    "ber_table": ("ber_table", str, False),
+    "output": ("output", str, False),
+    "seed": ("seed", int, False),
+}
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
@@ -191,66 +208,34 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         key, value = key.strip(), value.strip()
         if key in values:
             raise ScenarioError(f"{source}: line {lineno}: duplicate key {key!r}")
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
+        if key not in _KEYS:
             raise ScenarioError(f"{source}: line {lineno}: unknown key {key!r}")
         values[key] = value
 
-    missing = [k for k in _REQUIRED_KEYS if k not in values]
+    missing = [key for key, (_, _, required) in _KEYS.items() if required and key not in values]
     if missing:
         raise ScenarioError(f"{source}: missing keys: {', '.join(missing)}")
-
-    def number(key: str) -> float:
-        try:
-            x = float(values[key])
-        except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
-            raise ScenarioError(f"key {key!r}: not a finite number: {values[key]!r}")
-        return x
-
-    def whole(key: str) -> int:
-        x = number(key)
-        if x != int(x):
-            raise ScenarioError(f"key {key!r}: not a whole number: {values[key]!r}")
-        return int(x)
-
     if "main_rate_bps" in values:
         if "baud_rate" in values or "bits_per_symbol" in values:
             raise ScenarioError(
                 f"{source}: give either main_rate_bps or baud_rate + bits_per_symbol, not both"
             )
-        rate_key = "main_rate_bps"
-    elif "baud_rate" in values and "bits_per_symbol" in values:
-        rate_key = "baud_rate * bits_per_symbol"
-    else:
+    elif "baud_rate" not in values or "bits_per_symbol" not in values:
         raise ScenarioError(
             f"{source}: main-lane rate missing: main_rate_bps or baud_rate + bits_per_symbol"
         )
     try:
-        if rate_key == "main_rate_bps":
-            main_rate = number("main_rate_bps")
-        else:
-            main_rate = main_rate_from_baud(number("baud_rate"), whole("bits_per_symbol"))
-        return Scenario(
-            k=whole("K"),
-            s=whole("s"),
-            code_rate=number("fec_code_rate"),
-            channel=values["channel"],
-            modulation=values["modulation"],
-            main_rate=main_rate,
-            d_start_cm=number("d_main_start_cm"),
-            d_stop_cm=number("d_main_stop_cm"),
-            d_step_cm=number("d_main_step_cm"),
-            aux_policy=values["d_aux_policy"],
-            aux_distance_cm=number("d_aux_cm") if "d_aux_cm" in values else None,
-            ber_table=values.get("ber_table"),
-            output=values.get("output"),
-            seed=whole("seed") if "seed" in values else 0,
-        )
+        kwargs = {}
+        for key, value in values.items():  # file order: the first bad value is reported
+            field, kind, _ = _KEYS[key]
+            kwargs[field or key] = _parse(key, value, kind)
+        if "baud_rate" in kwargs:
+            kwargs["main_rate"] = main_rate_from_baud(
+                kwargs.pop("baud_rate"), kwargs.pop("bits_per_symbol")
+            )
+        return Scenario(**kwargs)
     except ValueError as exc:
-        field, _, rule = str(exc).partition(" ")
-        field = rate_key if field == "main_rate_bps" else field
-        raise ScenarioError(f"{source}: {field} {rule}") from None
+        raise ScenarioError(f"{source}: {exc}") from None
 
 
 def load_scenario(path) -> Scenario:
@@ -440,10 +425,9 @@ def simulate(
     seed: int | None = None,
 ) -> tuple[list[SimRow], list[RowError]]:
     """Monte Carlo per grid distance, next to the analytic predictions."""
-    from .sim import SimConfig
+    from .sim import SimConfig, check_count
 
-    if generations < 1:
-        raise ValueError("generations must be >= 1")
+    check_count("generations", generations, 1)
     if seed is not None:
         sc = replace(sc, seed=seed)
     rows: list[SimRow] = []

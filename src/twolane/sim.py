@@ -51,6 +51,12 @@ from .fec import ERROR_MODES, snap
 from .planner import LinkParams, LinkPlan, lane_times
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not a Python or numpy integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     link: LinkParams
@@ -62,9 +68,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name, least in (("generations", 1), ("rng_seed", 0), ("payload_len", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
         if self.error_mode not in ERROR_MODES:
             raise ValueError(f"error_mode must be one of {ERROR_MODES}")
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +62,16 @@ def test_malformed_row_names_the_row():
         parse_ber_table(table_text(["B,16PSK,100,0.01", "B,16PSK,nan,0.02", "B,16PSK,inf,0.03"]))
     with pytest.raises(BerTableError, match="row 3: distance_cm inf is not finite"):
         parse_ber_table(table_text(["B,16PSK,100,0.01", "B,16PSK,inf,0.02"]))
+
+
+# unchecked, the nan point hides the 300 cm point from lookup and the inf
+# point makes every interpolation past 200 cm return the 200 cm BER
+@pytest.mark.parametrize("distances", [(200.0, math.nan, 300.0), (200.0, math.inf)])
+def test_code_built_table_rejects_non_finite_distance(distances):
+    points = [bertable.BerPoint("B", "16PSK", d, (i + 1) / 100) for i, d in enumerate(distances)]
+    message = f"distance_cm {distances[1]} is not finite at (B, 16PSK, p_e 0.02)"
+    with pytest.raises(BerTableError, match=f"^{re.escape(message)}$"):
+        bertable.BerTable(points)
 
 
 # --------------------------------------------------------------------- lookup

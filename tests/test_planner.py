@@ -237,3 +237,5 @@ def test_main_rate_from_baud():
         planner.main_rate_from_baud(0, 4)
     with pytest.raises(ValueError):
         planner.main_rate_from_baud(25e9, 0)
+    with pytest.raises(ValueError, match=r"^baud_rate \* bits_per_symbol must be finite, got inf$"):
+        planner.main_rate_from_baud(1e308, 8)

@@ -172,6 +172,24 @@ def test_parse_scenario_rejects_bad_number(old, new, message):
         parse_scenario(text, source="bad.scn")
 
 
+def test_parse_scenario_reports_first_bad_key_in_file_order():
+    text = scenario_text().replace("K = 30", "K = abc").replace(
+        "main_rate_bps = 800000000000.0", "main_rate_bps = nan"
+    )
+    with pytest.raises(ScenarioError, match="^bad\\.scn: key 'K': not a finite number: 'abc'$"):
+        parse_scenario(text, source="bad.scn")
+
+
+def test_equal_to_main_policy_rejects_aux_distance():
+    message = "d_aux_cm is only allowed with d_aux_policy 'fixed'"
+    text = scenario_text(aux_policy="equal_to_main", extra="d_aux_cm = 150")
+    with pytest.raises(ScenarioError, match=f"^bad\\.scn: {re.escape(message)}$"):
+        parse_scenario(text, source="bad.scn")
+    sc = parse_scenario(scenario_text())
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(sc, aux_policy="equal_to_main")
+
+
 def test_parse_scenario_accepts_whole_float():
     text = scenario_text().replace("K = 30", "K = 30.0").replace("seed = 7", "seed = 7e0")
     sc = parse_scenario(text)
@@ -404,6 +422,16 @@ def test_simulate_rejects_negative_seed_override():
     sc = parse_scenario(scenario_text(d_start=650, d_stop=650))
     with pytest.raises(ScenarioError, match="seed must be >= 0, got -1"):
         simulate(sc, flat_table(), generations=1, seed=-1)
+
+
+def test_simulate_rejects_fractional_generations_with_every_point_infeasible():
+    scn = os.path.join(os.path.dirname(__file__), "..", "scenarios", "channel_b_16psk.scn")
+    sc = dataclasses.replace(scenario.load_scenario(scn), aux_distance_cm=1e12)
+    table = load_builtin_table()
+    rows, errors = sweep(sc, table)
+    assert rows == [] and len(errors) == 37
+    with pytest.raises(ValueError, match=r"^generations must be an integer >= 1, got 2\.5$"):
+        simulate(sc, table, 2.5)
 
 
 def test_simulate_failure_rate_near_analytic_tail():
