@@ -9,8 +9,8 @@ the missing natives: Gauss-Jordan elimination runs on the coefficients
 alone, one table-row product per pivot with the pivot row's scale folded
 into the update, then the payload bytes are multiplied once by
 ``gf256.matmul``, the kernel that also encodes. Natives that survived are
-emitted as-is. ``decode`` checks the received entries in the one walk that
-sorts them into natives and coded payloads.
+emitted as-is. ``encode`` and ``decode`` share one input check, and ``decode``
+checks each entry's kind, index and uniqueness in the walk that sorts them.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -41,23 +41,10 @@ class SingularSystemError(DecodeError):
 
 @dataclass(frozen=True)
 class Generation:
-    """K native payloads handled as one coding unit."""
+    """K native payloads handled as one coding unit; ``encode`` checks them."""
 
     symbols: tuple[bytes, ...]
     generation_id: int = 0
-
-    def __post_init__(self):
-        if len(self.symbols) < 1:
-            raise ValueError("a generation needs at least one payload")
-        length = len(self.symbols[0])
-        if length < 1:
-            raise ValueError("payloads must be at least one byte long")
-        if any(len(p) != length for p in self.symbols):
-            raise ValueError("all payloads in a generation must have equal length")
-
-    @property
-    def k(self) -> int:
-        return len(self.symbols)
 
 
 def make_coefficients(k: int, r: int, seed) -> np.ndarray:
@@ -97,7 +84,15 @@ class DecodeStats:
     elimination_steps: int = 0
 
 
-def _check_coefficients(coeffs: np.ndarray, k: int) -> None:
+def _check_inputs(payloads, coeffs: np.ndarray, k: int) -> None:
+    """Shared by encode and decode: K >= 1, equal payload lengths >= 1, (K, R) uint8."""
+    if k < 1:
+        raise ValueError("a generation needs at least one payload")
+    length = len(payloads[0]) if payloads else 1
+    if length < 1:
+        raise ValueError("payloads must be at least one byte long")
+    if len(set(map(len, payloads))) > 1:
+        raise ValueError("all payloads in a generation must have equal length")
     if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2 or coeffs.dtype != np.uint8:
         raise ValueError("coefficients must be a 2-dimensional uint8 array")
     if coeffs.shape[0] != k:
@@ -115,7 +110,7 @@ def encode(gen: Generation, coeffs: np.ndarray) -> tuple[bytes, ...]:
     Coded payload j is XOR_i( C[i, j] * native_i ), computed bytewise over
     the field.
     """
-    _check_coefficients(coeffs, gen.k)
+    _check_inputs(gen.symbols, coeffs, len(gen.symbols))
     return tuple(row.tobytes() for row in gf256.matmul(coeffs.T, _payload_matrix(gen.symbols)))
 
 
@@ -133,24 +128,22 @@ def decode(
     unknown per missing native). With zero missing natives no elimination
     is performed at all.
 
-    Raises ValueError for a malformed entry (unknown kind, duplicate, index
-    out of range, unequal length), InsufficientSymbolsError when fewer than
-    ``k`` symbols arrived, and SingularSystemError when enough symbols
-    arrived but their implied coefficient rows do not reach rank ``k``.
+    Raises ValueError when the shared input check fails or an entry is
+    malformed (unknown kind, duplicate, index out of range),
+    InsufficientSymbolsError when fewer than ``k`` symbols arrived, and
+    SingularSystemError when enough symbols arrived but their implied
+    coefficient rows do not reach rank ``k``.
     """
     if stats is None:
         stats = DecodeStats()
-    _check_coefficients(coeffs, k)
+    entries = received.entries
+    _check_inputs([e.payload for e in entries], coeffs, k)
     r = coeffs.shape[1]
 
-    entries = received.entries
     natives: list[bytes | None] = [None] * k
     coded: list[bytes | None] = [None] * r
     coded_cols: list[int] = []  # in received order, the elimination's row order
-    length = len(entries[0].payload) if entries else None
     for kind, index, payload in entries:
-        if len(payload) != length:
-            raise ValueError("received payloads must have equal length")
         if kind == "native":
             if not 0 <= index < k:
                 raise ValueError(f"native index {index} out of range for k={k}")

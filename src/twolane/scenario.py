@@ -344,9 +344,13 @@ def read_sweep_csv(path) -> list[SweepRow]:
                 f"{path}: line {lineno}: expected {len(SWEEP_COLUMNS)} fields, got {len(parts)}"
             )
         try:
-            rows.append(SweepRow(*[convert(v) for convert, v in zip(_SWEEP_TYPES, parts)]))
-        except ValueError as exc:
+            values = [convert(v) for convert, v in zip(_SWEEP_TYPES, parts)]
+            row = SweepRow(*values)
+            if row.redundancy < 0 or not all(map(math.isfinite, values)):
+                raise ValueError(f"R must be >= 0 and every value finite, got {ln!r}")
+        except (ValueError, OverflowError) as exc:  # isfinite overflows on an R past 1e308
             raise ScenarioError(f"{path}: line {lineno}: {exc}") from None
+        rows.append(row)
     return rows
 
 
@@ -357,8 +361,14 @@ def binomial_tail_above(k: int, p: float, r: int) -> float:
     if r >= k:
         return 0.0
     acc = 0.0
-    for i in range(r + 1, k + 1):
-        acc += math.comb(k, i) * p**i * (1 - p) ** (k - i)
+    c = math.comb(k, r + 1)
+    for i in range(r + 1, k + 1):  # c = C(k, i), exact
+        try:  # the plain product while c fits in a float keeps the shipped CSVs byte-stable
+            acc += c * p**i * (1 - p) ** (k - i)
+        except OverflowError:  # c is beyond the float range, so 0 < i < k: sum in log space
+            if 0 < p < 1:
+                acc += math.exp(math.log(c) + i * math.log(p) + (k - i) * math.log1p(-p))
+        c = c * (k - i) // (i + 1)
     return min(1.0, acc)
 
 
@@ -425,9 +435,9 @@ def simulate(
     seed: int | None = None,
 ) -> tuple[list[SimRow], list[RowError]]:
     """Monte Carlo per grid distance, next to the analytic predictions."""
-    from .sim import SimConfig, check_count
+    from .sim import SimConfig, check_run_args
 
-    check_count("generations", generations, 1)
+    check_run_args(generations, mode)
     if seed is not None:
         sc = replace(sc, seed=seed)
     rows: list[SimRow] = []

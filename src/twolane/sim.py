@@ -51,10 +51,15 @@ from .fec import ERROR_MODES, snap
 from .planner import LinkParams, LinkPlan, lane_times
 
 
-def check_count(name: str, value, least: int) -> None:
-    """Reject a count that is not a Python or numpy integer >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def check_run_args(generations, error_mode, rng_seed=0, payload_len=1) -> None:
+    """Reject a count that is not an integer >= its least value, then an unknown mode."""
+    for name, value, least in (
+        ("generations", generations, 1), ("rng_seed", rng_seed, 0), ("payload_len", payload_len, 1)
+    ):
+        if not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if error_mode not in ERROR_MODES:
+        raise ValueError(f"error_mode must be one of {ERROR_MODES}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,7 @@ class SimConfig:
     payload_len: int = 8  # bytes per simulated symbol payload
 
     def __post_init__(self):
-        for name, least in (("generations", 1), ("rng_seed", 0), ("payload_len", 1)):
-            check_count(name, getattr(self, name), least)
-        if self.error_mode not in ERROR_MODES:
-            raise ValueError(f"error_mode must be one of {ERROR_MODES}")
+        check_run_args(self.generations, self.error_mode, self.rng_seed, self.payload_len)
 
 
 @dataclass

@@ -5,6 +5,8 @@ table-based implementation: carry-less polynomial multiply followed by
 explicit modular reduction, no lookup tables.
 """
 
+import math
+
 REDUCTION_POLY = 0x11B
 
 
@@ -26,6 +28,22 @@ def gf_inv_ref(a: int) -> int:
         if gf_mul_ref(a, x) == 1:
             return x
     raise ValueError(f"no inverse found for {a}")
+
+
+def not_full_rank_rate(k: int, p_erase: float, r: int, q: int = 256) -> float:
+    """Pr[at most r of k natives are erased, yet the system is not full rank].
+
+    With m <= r natives erased, the r coded payloads' coefficients on the m
+    missing natives form a uniform random r x m matrix over GF(q), which has
+    rank m with probability prod_{i<m} (1 - q^(i-r)) (Trullols-Cruces,
+    Barcelo-Ordinas and Fiore, IEEE Commun. Lett. 2011). The simulator counts
+    these draws as decode failures on top of the binomial tail Pr[m > r].
+    """
+    rate = 0.0
+    for m in range(min(k, r) + 1):
+        full_rank = math.prod(1 - q ** (i - r) for i in range(m))
+        rate += math.comb(k, m) * p_erase**m * (1 - p_erase) ** (k - m) * (1 - full_rank)
+    return rate
 
 
 def scenario_text(

@@ -29,7 +29,7 @@ def received_from(gen, coded, erased_native_indices):
     erased = set(erased_native_indices)
     entries = [
         ReceivedSymbol("native", i, gen.symbols[i])
-        for i in range(gen.k)
+        for i in range(len(gen.symbols))
         if i not in erased
     ]
     entries += [ReceivedSymbol("coded", j, p) for j, p in enumerate(coded)]
@@ -272,12 +272,57 @@ def test_decode_deterministic():
 
 
 def test_generation_rejects_ragged_or_empty_payloads():
-    with pytest.raises(ValueError):
-        Generation(symbols=(b"ab", b"c"))
-    with pytest.raises(ValueError):
-        Generation(symbols=(b"", b""))
-    with pytest.raises(ValueError):
-        Generation(symbols=())
+    # a Generation is built unchecked; encode rejects it
+    for symbols, message in [
+        ((b"ab", b"c"), "all payloads in a generation must have equal length"),
+        ((b"", b""), "payloads must be at least one byte long"),
+        ((), "a generation needs at least one payload"),
+    ]:
+        coeffs = np.zeros((len(symbols), 1), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            codec.encode(Generation(symbols=symbols), coeffs)
+
+
+@pytest.mark.parametrize(
+    "k,coeffs,entries,message",
+    [
+        (
+            2,
+            np.ones((2, 1), dtype=np.uint8),
+            (ReceivedSymbol("native", 0, b""), ReceivedSymbol("native", 1, b"")),
+            "payloads must be at least one byte long",
+        ),
+        (
+            0,
+            np.ones((0, 1), dtype=np.uint8),
+            (ReceivedSymbol("coded", 0, b"\x01"),),
+            "a generation needs at least one payload",
+        ),
+        (
+            2,
+            np.ones((2, 1), dtype=np.uint8),
+            (ReceivedSymbol("native", 0, b"\x01"), ReceivedSymbol("coded", 0, b"\x01\x02")),
+            "all payloads in a generation must have equal length",
+        ),
+        (
+            # the length check runs before the walk that checks kinds
+            2,
+            np.ones((2, 1), dtype=np.uint8),
+            (ReceivedSymbol("junk", 0, b"\x01"), ReceivedSymbol("native", 0, b"\x01\x02")),
+            "all payloads in a generation must have equal length",
+        ),
+    ],
+    ids=["zero-length", "k-0", "ragged", "ragged-before-kind"],
+)
+def test_decode_rejects_what_encode_rejects(k, coeffs, entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        codec.decode(ReceivedGeneration(entries=entries), coeffs, k)
+
+
+def test_decode_of_nothing_received_is_insufficient():
+    # no payloads is not a payload fault: it is a generation that did not arrive
+    with pytest.raises(InsufficientSymbolsError, match="received 0 of 2 required"):
+        codec.decode(ReceivedGeneration(entries=()), np.ones((2, 0), dtype=np.uint8), 2)
 
 
 def test_received_generation_rejects_duplicates():
