@@ -38,6 +38,14 @@ class BerTableError(ValueError):
     """Malformed or inconsistent BER table input."""
 
 
+class BadPointError(BerTableError):
+    """Point ``index`` of the input breaks ``problem``; the message says where."""
+
+    def __init__(self, index: int, problem: str, at: str):
+        super().__init__(f"{problem} at {at}")
+        self.index, self.problem = index, problem
+
+
 @dataclass(frozen=True)
 class BerPoint:
     channel: str
@@ -53,17 +61,13 @@ class BerTable:
         if not points:
             raise BerTableError("empty table")
         groups: dict[tuple[str, str], list[BerPoint]] = {}
-        for p in points:
+        for i, p in enumerate(points):
             if not math.isfinite(p.distance_cm):
-                raise BerTableError(
-                    f"distance_cm {p.distance_cm} is not finite at "
-                    f"({p.channel}, {p.modulation}, p_e {p.bit_error_rate})"
-                )
+                at = f"({p.channel}, {p.modulation}, p_e {p.bit_error_rate})"
+                raise BadPointError(i, f"distance_cm {p.distance_cm} is not finite", at)
             if not 0 <= p.bit_error_rate <= 1:
-                raise BerTableError(
-                    f"p_e {p.bit_error_rate} out of [0, 1] at "
-                    f"({p.channel}, {p.modulation}, {p.distance_cm} cm)"
-                )
+                at = f"({p.channel}, {p.modulation}, {p.distance_cm} cm)"
+                raise BadPointError(i, f"p_e {p.bit_error_rate} out of [0, 1]", at)
             groups.setdefault((p.channel, p.modulation), []).append(p)
         for key, rows in groups.items():
             for a, b in zip(rows, rows[1:]):
@@ -139,13 +143,11 @@ def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
             ber = float(row[3])
         except ValueError as exc:
             raise BerTableError(f"{source}: row {lineno}: {exc}") from None
-        if not math.isfinite(distance):
-            raise BerTableError(f"{source}: row {lineno}: distance_cm {distance} is not finite")
-        if not 0 <= ber <= 1:
-            raise BerTableError(f"{source}: row {lineno}: p_e {ber} out of [0, 1]")
         points.append(BerPoint(channel, modulation, distance, ber))
-    try:
+    try:  # BerTable checks each point; point i is row i + 2
         return BerTable(points)
+    except BadPointError as exc:
+        raise BerTableError(f"{source}: row {exc.index + 2}: {exc.problem}") from None
     except BerTableError as exc:
         raise BerTableError(f"{source}: {exc}") from None
 

@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 # The simulator's main-lane error models; both apply the residual-error model below.
 ERROR_MODES = ("analytic-erasure", "bit-level")
+# Simulator seeds fill at most two 32-bit words of SeedSequence's four-word
+# pool, so a seed's entropy never runs into the spawn keys of the streams.
+SEED_LIMIT = 2**64
 
 
 def snap(x: float) -> float:

@@ -20,7 +20,7 @@ Schema (distances in centimetres, converted to metres internally):
                                 special value 'builtin' selects the built-in
                                 synthetic fixture
     output = out.csv            optional; CLI --out overrides
-    seed = 7                    optional, default 0
+    seed = 7                    optional, default 0, below 2**64
 
 Sweep output is a CSV with exactly the header
 
@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import get_type_hints
 
 from .bertable import BerTable
-from .fec import FecParams, snap
+from .fec import SEED_LIMIT, FecParams, snap
 from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
 
 AUX_POLICIES = ("fixed", "equal_to_main")
@@ -129,6 +129,8 @@ class Scenario:
             )
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= SEED_LIMIT:
+            raise ScenarioError(f"seed must be < 2**64, got {self.seed}")
         # the FecParams and LinkParams rules, checked once here; name the key, not the field
         try:
             self.link_for(self.d_start_cm, 0.0)
@@ -171,6 +173,8 @@ def _parse(key: str, value: str, kind: type) -> str | float | int:
         raise ScenarioError(f"key {key!r}: not a finite number: {value!r}")
     if kind is int and x != int(x):
         raise ScenarioError(f"key {key!r}: not a whole number: {value!r}")
+    if kind is int and value.removeprefix("-").isdecimal():
+        return int(value)  # exact past 2**53, where x is rounded
     return kind(x)
 
 
@@ -440,6 +444,7 @@ def simulate(
     check_run_args(generations, mode)
     if seed is not None:
         sc = replace(sc, seed=seed)
+    per_run = {"generations": generations, "rng_seed": sc.seed, "error_mode": mode}
     rows: list[SimRow] = []
     errors: list[RowError] = []
     for i, d in enumerate(sc.distances_cm()):
@@ -450,15 +455,7 @@ def simulate(
         except InfeasibleAuxDistanceError as exc:
             errors.append(RowError(d_main_cm=d, message=str(exc)))
             continue
-        report = run(
-            SimConfig(
-                link=link,
-                plan=lp,
-                generations=generations,
-                rng_seed=sc.seed + i,
-                error_mode=mode,
-            )
-        )
+        report = run(SimConfig(link=link, plan=lp, distance_index=i, **per_run))
         rows.append(
             SimRow(
                 d_main_cm=d,
@@ -474,7 +471,7 @@ def simulate(
                 observed_erasure_rate=report.symbol_erasure_rate,
                 insufficient_failures=report.insufficient_failures,
                 singular_failures=report.singular_failures,
-                mean_lane_skew_s=report.mean_lane_skew,
+                mean_lane_skew_s=abs(lp.t_main - lp.t_aux) if lp.redundancy > 0 else 0.0,
             )
         )
     return rows, errors

@@ -149,6 +149,14 @@ def test_simulate_negative_seed_is_validation_error(workdir, capsys):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_simulate_seed_past_64_bits_is_validation_error(workdir, capsys):
+    rc = cli.main(
+        ["simulate", "--scenario", str(workdir / "scn.scn"), "--seed", str(2**64)]
+    )
+    assert rc == 1
+    assert "seed must be < 2**64, got 18446744073709551616" in capsys.readouterr().err
+
+
 def test_simulate_bit_level_mode(workdir, capsys):
     (workdir / "one.scn").write_text(
         scenario_text(d_start=650, d_stop=650, extra="ber_table = ber.csv"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolane import scenario
+from twolane import codec, planner, scenario, sim
 from twolane.bertable import load_builtin_table, parse_ber_table
 from twolane.scenario import (
     ScenarioError,
@@ -110,6 +110,7 @@ def test_parse_scenario_rejects_bad_grid():
         ),
         ("seed = 7", "seed = 1.9", "key 'seed': not a whole number: '1.9'"),
         ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
+        ("seed = 7", f"seed = {2**64}", f"seed must be < 2**64, got {2**64}"),
         ("K = 30", "K = abc", "key 'K': not a finite number: 'abc'"),
         ("main_rate_bps = 800000000000.0", "main_rate_bps = inf", "key 'main_rate_bps': not a finite"),
         ("main_rate_bps = 800000000000.0", "main_rate_bps = nan", "key 'main_rate_bps': not a finite"),
@@ -146,6 +147,7 @@ def test_parse_scenario_rejects_bad_grid():
         "fractional-bits_per_symbol",
         "fractional-seed",
         "negative-seed",
+        "seed-past-64-bits",
         "non-numeric-K",
         "inf-rate",
         "nan-rate",
@@ -170,6 +172,12 @@ def test_parse_scenario_rejects_bad_number(old, new, message):
     assert old in lines
     with pytest.raises(ScenarioError, match=f"^bad\\.scn: {re.escape(message)}"):
         parse_scenario(text, source="bad.scn")
+
+
+def test_parse_scenario_keeps_a_large_seed_exact():
+    # 2**64 - 1 is not a float; read through one it would round up to 2**64
+    sc = parse_scenario(scenario_text().replace("seed = 7", "seed = 18446744073709551615"))
+    assert sc.seed == 2**64 - 1
 
 
 def test_parse_scenario_reports_first_bad_key_in_file_order():
@@ -472,3 +480,52 @@ def test_simulate_failure_rate_near_analytic_tail():
     sigma = math.sqrt(expected * (1 - expected) / 3000)
     assert row.redundancy == 2
     assert abs(row.decode_failure_rate - expected) <= 3 * sigma
+
+
+def test_simulate_rejects_a_seed_override_past_64_bits():
+    sc = parse_scenario(scenario_text(d_start=650, d_stop=650))
+    with pytest.raises(ScenarioError, match=r"^seed must be < 2\*\*64, got 18446744073709551616$"):
+        simulate(sc, flat_table(), generations=1, seed=2**64)
+
+
+def test_simulate_seed_8_does_not_replay_seed_7_one_distance_over(monkeypatch):
+    """Distance i draws from spawn key (i, ...) of the seed, not from seed + i."""
+    runs = []  # per distance: the native payloads of every encode call
+    real_run = scenario.run
+    monkeypatch.setattr(scenario, "run", lambda cfg: runs.append([]) or real_run(cfg))
+    monkeypatch.setattr(
+        sim, "encode", lambda gen, coeffs: runs[-1].append(gen.symbols) or codec.encode(gen, coeffs)
+    )
+    sc = parse_scenario(scenario_text(d_start=650, d_stop=700))
+    table = flat_table(distances=(650, 700))
+    simulate(sc, table, generations=2, seed=8)
+    seed_8 = runs[:]
+    runs.clear()
+    simulate(sc, table, generations=2, seed=7)
+    assert len(seed_8) == len(runs) == 2
+    assert seed_8[0] != runs[1]
+
+
+# mean_lane_skew_s is computed here, from the plan's lane times
+
+
+def test_simulate_skew_zero_with_matched_aux_rate():
+    rows, _ = simulate(parse_scenario(scenario_text()), load_builtin_table(), generations=1)
+    assert len(rows) == 37 and any(row.redundancy == 0 for row in rows)
+    assert all(row.mean_lane_skew_s <= 1e-12 for row in rows)
+
+
+def test_simulate_skew_matches_analytic_for_other_aux_rate(monkeypatch):
+    def off_rate_plan(link):
+        lp = planner.plan(link)
+        rate = lp.aux_rate * 2
+        t_main, t_aux = planner.lane_times(link, lp.redundancy, rate)
+        return dataclasses.replace(lp, aux_rate=rate, t_main=t_main, t_aux=t_aux)
+
+    monkeypatch.setattr(scenario, "plan", off_rate_plan)
+    sc = parse_scenario(scenario_text(d_start=650, d_stop=650))
+    (row,), _ = simulate(sc, flat_table(), generations=1)
+    lp = off_rate_plan(sc.link_for(650, 0.2))
+    assert row.redundancy == lp.redundancy > 0
+    assert row.mean_lane_skew_s == pytest.approx(abs(lp.t_main - lp.t_aux), abs=1e-12)
+    assert row.mean_lane_skew_s > 1e-12

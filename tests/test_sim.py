@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
-from twolane import planner, sim
+from twolane import codec, planner, sim
 from twolane.fec import FecParams
 from twolane.planner import LinkParams
 from twolane.sim import SimConfig
@@ -54,14 +57,16 @@ def plan_with_residual_ser(ps: float, redundancy: int, link=None):
 
 def test_erase_symbols_endpoints():
     rng = np.random.default_rng(0)
-    assert sim.erase_symbols(30, 0.0, rng).size == 30
-    assert sim.erase_symbols(30, 1.0, rng).size == 0
+    assert sim.erase_symbols(4, 30, 0.0, rng).shape == (4, 30)
+    assert sim.erase_symbols(4, 30, 0.0, rng).all()
+    assert not sim.erase_symbols(4, 30, 1.0, rng).any()
 
 
 def test_erase_symbols_binomial_mean():
     rng = np.random.default_rng(1)
-    trials = 100_000
-    survivors = sum(sim.erase_symbols(30, 0.5, rng).size for _ in range(trials))
+    trials, batch = 100_000, 10_000
+    batches = (sim.erase_symbols(batch, 30, 0.5, rng) for _ in range(trials // batch))
+    survivors = sum(int(alive.sum()) for alive in batches)
     mean = survivors / trials
     sigma = math.sqrt(30 * 0.25 / trials)
     assert abs(mean - 15.0) <= 3 * sigma
@@ -72,34 +77,97 @@ def test_erase_symbols_binomial_mean():
 
 def test_corrupt_bits_error_free():
     rng = np.random.default_rng(2)
-    assert sim.corrupt_bits(30, 8, 0.0, 29, 0.8, rng).size == 30
+    assert sim.corrupt_bits(4, 30, 8, 0.0, 29, 0.8, rng).all()
 
 
 def test_corrupt_bits_saturated_channel():
     rng = np.random.default_rng(3)
     # all 240 bits flip; a 23-bit budget cannot clean any full symbol
-    assert sim.corrupt_bits(30, 8, 1.0, 29, 0.8, rng).size == 0
+    assert not sim.corrupt_bits(4, 30, 8, 1.0, 29, 0.8, rng).any()
 
 
 def test_corrupt_bits_budget_covers_everything():
     rng = np.random.default_rng(4)
     # huge budget: every flip is corrected, nothing erased
-    assert sim.corrupt_bits(30, 8, 0.3, 1000, 1.0, rng).size == 30
+    assert sim.corrupt_bits(4, 30, 8, 0.3, 1000, 1.0, rng).all()
 
 
 def test_corrupt_bits_budget_snaps_float_noise():
     rng = np.random.default_rng(6)
     # 0.57 * 100 == 56.99999999999999; the budget is 57 and cleans all 57 flips
-    assert sim.corrupt_bits(57, 1, 1.0, 100, 0.57, rng).size == 57
+    assert sim.corrupt_bits(2, 57, 1, 1.0, 100, 0.57, rng).all()
+
+
+def erased_counts(trials, k, s, ber, correctable, code_rate, rng, batch=2000):
+    """Erased symbols per generation over ``trials`` generations, drawn in batches."""
+    return np.concatenate(
+        [
+            k - sim.corrupt_bits(batch, k, s, ber, correctable, code_rate, rng).sum(axis=1)
+            for _ in range(trials // batch)
+        ]
+    )
 
 
 def test_corrupt_bits_mean_matches_analytic_model():
     rng = np.random.default_rng(5)
     k_ps = 30 * 0.5821232558667687
-    trials = 20_000
-    erased = sum(30 - sim.corrupt_bits(30, 8, 0.2, 29, 0.8, rng).size for _ in range(trials))
-    mean = erased / trials
+    mean = erased_counts(20_000, 30, 8, 0.2, 29, 0.8, rng).mean()
     assert abs(mean - k_ps) <= 0.10 * k_ps
+
+
+def test_corrupt_bits_mean_matches_the_uniform_subset_model():
+    """3 sigma from the exact mean of correcting a uniform subset of the flips.
+
+    F ~ Bin(K*s, p_e) bits flip and b = floor(0.8 * 29) = 23 of them are
+    corrected, so the F' = max(0, F - b) flips left are a uniform F'-subset
+    of the K*s bits, and a symbol is clean with probability
+    C(K*s - s, F') / C(K*s, F'). Any sampler that corrects a uniformly
+    random subset of the flips has this mean.
+    """
+    from scipy.stats import binom
+
+    k, s, n = 30, 8, 240
+    exact = k * sum(
+        binom.pmf(f, n, 0.2) * (1 - math.comb(n - s, max(0, f - 23)) / math.comb(n, max(0, f - 23)))
+        for f in range(n + 1)
+    )
+    erased = erased_counts(20_000, k, s, 0.2, 29, 0.8, np.random.default_rng(7))
+    assert abs(erased.mean() - exact) <= 3 * erased.std(ddof=1) / math.sqrt(erased.size)
+
+
+class Replay:
+    """A stand-in generator whose ``random`` returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, shape):
+        out = self.arrays.pop(0)
+        assert out.shape == shape
+        return out
+
+
+@st.composite
+def flip_draws(draw):
+    g, k, s = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    flips = draw(hnp.arrays(np.bool_, (g, k * s)))
+    keys = draw(hnp.arrays(np.float64, (g, k * s), elements=st.floats(0, 1, exclude_max=True)))
+    return k, s, flips, keys, draw(st.integers(0, k * s + 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_draws())
+def test_correct_flips_clears_min_of_flips_and_budget(case):
+    k, s, flips, keys, budget = case
+    left = sim.correct_flips(flips.copy(), keys, budget)
+    assert not (left & ~flips).any()  # only flipped bits are cleared
+    cleared = (flips & ~left).sum(axis=1)
+    assert (cleared == np.minimum(flips.sum(axis=1), budget)).all()
+    # corrupt_bits draws the flip uniforms, then the keys; a symbol survives
+    # exactly when none of its bits is still flipped
+    uniforms = np.where(flips, 0.25, 0.75)
+    alive = sim.corrupt_bits(len(flips), k, s, 0.5, budget, 1.0, Replay(uniforms, keys))
+    assert (alive == ~left.reshape(len(flips), k, s).any(axis=2)).all()
 
 
 # ------------------------------------------------------------------------ run
@@ -161,26 +229,6 @@ def test_run_counts_are_consistent():
     )
 
 
-def test_run_skew_zero_with_matched_aux_rate():
-    report = sim.run(config(ber=0.2, generations=20))
-    assert report.mean_lane_skew <= 1e-12
-
-
-def test_run_skew_matches_analytic_for_other_aux_rate():
-    link = make_link()
-    lp = planner.plan(link)
-    off_rate = lp.aux_rate * 2
-    t_main, t_aux = planner.lane_times(link, lp.redundancy, off_rate)
-    cfg = SimConfig(
-        link=link,
-        plan=dataclasses.replace(lp, aux_rate=off_rate),
-        generations=20,
-        rng_seed=23,
-    )
-    report = sim.run(cfg)
-    assert report.mean_lane_skew == pytest.approx(abs(t_main - t_aux), abs=1e-12)
-
-
 def test_run_deterministic_for_fixed_seed():
     a = sim.run(config(generations=100, seed=29))
     b = sim.run(config(generations=100, seed=29))
@@ -211,6 +259,8 @@ def test_sim_config_validation():
         ({"payload_len": 2.5}, "payload_len must be an integer >= 1, got 2.5"),
         ({"rng_seed": 1.0}, "rng_seed must be an integer >= 0, got 1.0"),
         ({"rng_seed": -1}, "rng_seed must be an integer >= 0, got -1"),
+        ({"rng_seed": 2**64}, "rng_seed must be < 2**64, got 18446744073709551616"),
+        ({"distance_index": -1}, "distance_index must be an integer >= 0, got -1"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SimConfig(link=link, plan=lp, **{"generations": 1, **kwargs})
@@ -218,3 +268,53 @@ def test_sim_config_validation():
         link=link, plan=lp, generations=np.int64(2), rng_seed=np.uint32(3), payload_len=np.int8(4)
     )
     assert sim.run(numpy_ints).sent_generations == 2
+    assert SimConfig(link=link, plan=lp, generations=1, rng_seed=np.uint64(2**64 - 1)).rng_seed
+
+
+def test_check_run_args_rejects_a_seed_past_64_bits():
+    # entropy words past SeedSequence's 4-word pool run into the spawn key:
+    # seed 7 + 2**160 would replay seed 7's (0, 1) stream
+    sim.check_run_args(1, "bit-level", rng_seed=2**64 - 1)
+    message = f"rng_seed must be < 2**64, got {7 + 2**160}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sim.check_run_args(1, "bit-level", rng_seed=7 + 2**160)
+
+
+# -------------------------------------------------------------------- streams
+
+
+def stream_heads(monkeypatch, cfg) -> list[bytes]:
+    """The bytes each stream of a run starts with: the coefficients, then the
+    natives of the first generation of every encode block."""
+    heads = []
+
+    def spy(gen, coeffs):
+        if not heads:
+            heads.append(coeffs.tobytes())
+        heads.append(b"".join(p[: cfg.payload_len] for p in gen.symbols))
+        return codec.encode(gen, coeffs)
+
+    monkeypatch.setattr(sim, "encode", spy)
+    sim.run(cfg)
+    return heads
+
+
+def shared_prefix(a: bytes, b: bytes) -> bool:
+    n = min(len(a), len(b))
+    return a[:n] == b[:n]
+
+
+def test_coefficient_stream_is_no_chunk_stream(monkeypatch):
+    coeffs, *chunks = stream_heads(monkeypatch, config(generations=3 * sim.CHUNK, seed=7))
+    assert len(chunks) >= 3  # one encode block per chunk at 8-byte payloads
+    assert not any(shared_prefix(coeffs, head) for head in chunks)
+
+
+def test_large_seed_does_not_alias_a_small_one(monkeypatch):
+    # 2**32 + 7 is the entropy words (7, 1); with the words padded before the
+    # spawn key, no stream of it is a stream of seed 7
+    big = stream_heads(monkeypatch, config(generations=2 * sim.CHUNK, seed=2**32 + 7))
+    small = stream_heads(monkeypatch, config(generations=2 * sim.CHUNK, seed=7))
+    assert not any(shared_prefix(a, b) for a in big for b in small)
+    reports = [sim.run(config(generations=50, seed=seed)) for seed in (2**32 + 7, 7)]
+    assert reports[0] != reports[1]
