@@ -17,9 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from twolane import fec, planner, sim
-from twolane.fec import FecParams
+from twolane.fec import FecParams, binomial_tail_above
 from twolane.planner import LinkParams
-from twolane.scenario import binomial_tail_above
 
 GENERATIONS = 5000
 link = LinkParams(

@@ -2,8 +2,8 @@
 
 The raw bit error rate of the main lane is not modelled here; it is
 ingested as a CSV table with header ``channel_id,modulation,distance_cm,p_e``
-holding one curve per (channel, modulation) pair, sampled at strictly
-increasing distances. Lookups are exact-match (within 1e-9 cm) by default;
+holding one curve per (channel, modulation) pair, sampled at distances
+increasing by more than 1e-9 cm. Lookups match within 1e-9 cm by default;
 linear interpolation between neighbouring distances is available behind a
 flag. One bisection of the curve finds the match or the segment.
 
@@ -71,21 +71,18 @@ class BerTable:
             groups.setdefault((p.channel, p.modulation), []).append(p)
         for key, rows in groups.items():
             for a, b in zip(rows, rows[1:]):
-                if b.distance_cm <= a.distance_cm:
+                if b.distance_cm - a.distance_cm <= _DISTANCE_TOL:
                     raise BerTableError(
-                        f"distances not strictly increasing for {key}: "
-                        f"{a.distance_cm} then {b.distance_cm}"
+                        f"distances not strictly increasing by more than {_DISTANCE_TOL} cm "
+                        f"for {key}: {a.distance_cm} then {b.distance_cm}"
                     )
-        self._groups = groups
+        self._groups = {key: tuple(rows) for key, rows in groups.items()}
         self.points = list(points)
 
     def groups(self) -> list[tuple[str, str]]:
         return sorted(self._groups)
 
-    def curve(self, channel: str, modulation: str) -> list[BerPoint]:
-        return list(self._curve(channel, modulation))
-
-    def _curve(self, channel: str, modulation: str) -> list[BerPoint]:
+    def curve(self, channel: str, modulation: str) -> tuple[BerPoint, ...]:
         try:
             return self._groups[(channel, modulation)]
         except KeyError:
@@ -103,7 +100,7 @@ class BerTable:
         """BER at one distance: exact grid match, or linear if asked."""
         if not math.isfinite(distance_cm):
             raise BerTableError(f"distance {distance_cm} cm is not finite")
-        rows = self._curve(channel, modulation)
+        rows = self.curve(channel, modulation)
         # the first point not below distance_cm by more than 1e-9 cm, keyed on the
         # difference as the match test is: distance_cm +- 1e-9 can round onto a point
         i = bisect_left(rows, -_DISTANCE_TOL, key=lambda p: p.distance_cm - distance_cm)

@@ -14,11 +14,15 @@ rate-scaled R_F*t, which is how this model family defines it; see the
 README note on that convention. A residual BER that would come out
 negative means the budget covers every expected error bit and is clamped
 to exactly zero (and then the symbol error rate is zero too).
+
+The decode-failure model is here too: with K natives erased i.i.d. at P_s
+and R coded symbols, a generation fails with ``binomial_tail_above(K, P_s, R)``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 # The simulator's main-lane error models; both apply the residual-error model below.
@@ -39,6 +43,13 @@ def snap(x: float) -> float:
     return nearest if abs(x - nearest) < 1e-9 else x
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Reject ``value`` unless it is a Python or numpy integer, not a bool, >= ``least``."""
+    integer = type(value) is int or not isinstance(value, bool) and hasattr(value, "__index__")
+    if not integer or operator.index(value) < least:  # type() first: plain ints pay least
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FecParams:
     """Inputs of the correction-budget model."""
@@ -49,10 +60,8 @@ class FecParams:
     bit_error_rate: float  # expected channel BER before correction
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.s < 1:
-            raise ValueError("s must be >= 1")
+        check_count("k", self.k, 1)
+        check_count("s", self.s, 1)
         if not 0 < self.code_rate <= 1:
             raise ValueError("code_rate must be in (0, 1]")
         if not 0 <= self.bit_error_rate <= 1:
@@ -110,3 +119,21 @@ def derive(params: FecParams) -> FecDerived:
         residual_ber=pb,
         residual_ser=residual_ser(pb, params.s),
     )
+
+
+def binomial_tail_above(k: int, p: float, r: int) -> float:
+    """Pr[Binomial(k, p) > r], the analytic decode-failure probability."""
+    if not 0 <= p <= 1:
+        raise ValueError("p must be in [0, 1]")
+    if r >= k:
+        return 0.0
+    acc = 0.0
+    c = math.comb(k, r + 1)
+    for i in range(r + 1, k + 1):  # c = C(k, i), exact
+        try:  # the plain product while c fits in a float keeps the shipped CSVs byte-stable
+            acc += c * p**i * (1 - p) ** (k - i)
+        except OverflowError:  # c is beyond the float range, so 0 < i < k: sum in log space
+            if 0 < p < 1:
+                acc += math.exp(math.log(c) + i * math.log(p) + (k - i) * math.log1p(-p))
+        c = c * (k - i) // (i + 1)
+    return min(1.0, acc)

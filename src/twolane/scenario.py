@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import get_type_hints
 
@@ -48,34 +48,6 @@ AUX_POLICIES = ("fixed", "equal_to_main")
 
 # A mistyped d_main_step_cm should fail at parse time, not build millions of points.
 MAX_GRID_POINTS = 100_000
-
-SWEEP_COLUMNS = (
-    "d_main_cm",
-    "p_e",
-    "P_b",
-    "P_s",
-    "R",
-    "R_T",
-    "theta",
-    "C_aux_bps",
-    "T_main_s",
-    "T_aux_s",
-)
-
-SIM_COLUMNS = (
-    "d_main_cm",
-    "p_e",
-    "P_s",
-    "R",
-    "generations",
-    "decoded",
-    "decode_failure_rate",
-    "analytic_failure_rate",
-    "observed_erasure_rate",
-    "insufficient_failures",
-    "singular_failures",
-    "mean_lane_skew_s",
-)
 
 
 class ScenarioError(ValueError):
@@ -255,22 +227,28 @@ def load_scenario(path) -> Scenario:
     return sc
 
 
+def _csv_layout(row_type) -> tuple[tuple[str, ...], attrgetter]:
+    """A row type's CSV header, one column per field in order ("csv" metadata, else the
+    field's name), and the getter of a row's cells."""
+    fs = fields(row_type)
+    return tuple(f.metadata.get("csv", f.name) for f in fs), attrgetter(*(f.name for f in fs))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     d_main_cm: float
     p_e: float
-    p_residual_bit: float
-    p_residual_symbol: float
-    redundancy: int
-    total_rate: float
-    overhead: float
-    aux_rate_bps: float
-    t_main_s: float
-    t_aux_s: float
+    p_residual_bit: float = field(metadata={"csv": "P_b"})
+    p_residual_symbol: float = field(metadata={"csv": "P_s"})
+    redundancy: int = field(metadata={"csv": "R"})
+    total_rate: float = field(metadata={"csv": "R_T"})
+    overhead: float = field(metadata={"csv": "theta"})
+    aux_rate_bps: float = field(metadata={"csv": "C_aux_bps"})
+    t_main_s: float = field(metadata={"csv": "T_main_s"})
+    t_aux_s: float = field(metadata={"csv": "T_aux_s"})
 
 
-# CSV cell order is field order; SWEEP_COLUMNS names the cells.
-_sweep_values = attrgetter(*(f.name for f in fields(SweepRow)))
+SWEEP_COLUMNS, _sweep_values = _csv_layout(SweepRow)
 _SWEEP_TYPES = tuple(get_type_hints(SweepRow)[f.name] for f in fields(SweepRow))
 
 
@@ -358,24 +336,6 @@ def read_sweep_csv(path) -> list[SweepRow]:
     return rows
 
 
-def binomial_tail_above(k: int, p: float, r: int) -> float:
-    """Pr[Binomial(k, p) > r], the analytic decode-failure probability."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
-    if r >= k:
-        return 0.0
-    acc = 0.0
-    c = math.comb(k, r + 1)
-    for i in range(r + 1, k + 1):  # c = C(k, i), exact
-        try:  # the plain product while c fits in a float keeps the shipped CSVs byte-stable
-            acc += c * p**i * (1 - p) ** (k - i)
-        except OverflowError:  # c is beyond the float range, so 0 < i < k: sum in log space
-            if 0 < p < 1:
-                acc += math.exp(math.log(c) + i * math.log(p) + (k - i) * math.log1p(-p))
-        c = c * (k - i) // (i + 1)
-    return min(1.0, acc)
-
-
 def classify_aux_technology(rate_bps: float) -> str:
     """Coarse technology label for an auxiliary-lane rate.
 
@@ -402,8 +362,8 @@ def classify_aux_technology(rate_bps: float) -> str:
 class SimRow:
     d_main_cm: float
     p_e: float
-    p_residual_symbol: float
-    redundancy: int
+    p_residual_symbol: float = field(metadata={"csv": "P_s"})
+    redundancy: int = field(metadata={"csv": "R"})
     generations: int
     decoded: int
     decode_failure_rate: float
@@ -414,7 +374,7 @@ class SimRow:
     mean_lane_skew_s: float
 
 
-_sim_values = attrgetter(*(f.name for f in fields(SimRow)))
+SIM_COLUMNS, _sim_values = _csv_layout(SimRow)
 
 
 def run(cfg):
@@ -439,6 +399,7 @@ def simulate(
     seed: int | None = None,
 ) -> tuple[list[SimRow], list[RowError]]:
     """Monte Carlo per grid distance, next to the analytic predictions."""
+    from .fec import binomial_tail_above  # bound here only: scenario does not re-export it
     from .sim import SimConfig, check_run_args
 
     check_run_args(generations, mode)

@@ -47,7 +47,7 @@ from .codec import (
     encode,
     make_coefficients,
 )
-from .fec import ERROR_MODES, SEED_LIMIT, snap
+from .fec import ERROR_MODES, SEED_LIMIT, check_count, snap
 from .planner import LinkParams, LinkPlan
 
 CHUNK = 16  # generations per random stream; part of the stream contract
@@ -60,8 +60,7 @@ def check_run_args(generations, error_mode, rng_seed=0, payload_len=1, distance_
         ("generations", generations, 1), ("rng_seed", rng_seed, 0),
         ("payload_len", payload_len, 1), ("distance_index", distance_index, 0),
     ):
-        if not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_count(name, value, least)
     if int(rng_seed) >= SEED_LIMIT:
         raise ValueError(f"rng_seed must be < 2**64, got {rng_seed!r}")
     if error_mode not in ERROR_MODES:

@@ -52,6 +52,13 @@ def test_non_monotone_distances_rejected():
         parse_ber_table(text)
 
 
+def test_distances_within_match_tolerance_rejected():
+    # the second point could never be looked up: 200.0000000005 cm matches 200 cm first
+    text = table_text(["B,16PSK,200,0.1", "B,16PSK,200.0000000005,0.2"])
+    with pytest.raises(BerTableError, match="strictly increasing by more than 1e-09 cm"):
+        parse_ber_table(text)
+
+
 def test_malformed_row_names_the_row():
     with pytest.raises(BerTableError, match="row 2"):
         parse_ber_table(table_text(["B,16PSK,200"]))
@@ -138,9 +145,9 @@ def outcome(lookup, *args):
 
 @st.composite
 def curve_and_queries(draw):
-    distances = sorted(
-        draw(st.lists(st.floats(0, 5000), min_size=1, max_size=8, unique=True))
-    )
+    drawn = sorted(draw(st.lists(st.floats(0, 5000), min_size=1, max_size=8, unique=True)))
+    # BerTable rejects a point within the 1e-9 cm match tolerance of the one before
+    distances = [d for i, d in enumerate(drawn) if i == 0 or d - drawn[i - 1] > 1e-9]
     bers = draw(st.lists(st.floats(0, 1), min_size=len(distances), max_size=len(distances)))
     near = st.one_of(
         st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9]), st.floats(-2e-9, 2e-9)

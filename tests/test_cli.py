@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,15 @@ import pytest
 
 from twolane import cli
 from twolane.bertable import load_builtin_table, save_ber_table
-from twolane.scenario import SIM_COLUMNS, SWEEP_COLUMNS, read_sweep_csv
+from twolane.scenario import read_sweep_csv
 
 from conftest import scenario_text
+
+# the two headers README "Output CSVs" documents, sweep then simulate: the CSV contract
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+SWEEP_HEADER, SIM_HEADER = re.findall(
+    r"```\n(.+)\n```", README.split("### Output CSVs", 1)[1].split("\n### ", 1)[0]
+)
 
 
 @pytest.fixture
@@ -50,7 +57,7 @@ def test_plan_single_row_to_stdout(workdir, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     lines = captured.out.strip().splitlines()
-    assert lines[0] == ",".join(SWEEP_COLUMNS)
+    assert lines[0] == SWEEP_HEADER
     assert len(lines) == 2
     assert lines[1].startswith("650.0,")
     assert "aux technology:" in captured.err
@@ -139,7 +146,7 @@ def test_simulate_writes_csv(workdir):
     )
     assert rc == 0
     lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ",".join(SIM_COLUMNS)
+    assert lines[0] == SIM_HEADER
     assert len(lines) == 38
 
 

@@ -176,6 +176,10 @@ def test_derived_invariants():
         dict(code_rate=1.5),
         dict(ber=-0.1),
         dict(ber=1.1),
+        # a fractional K reached plan() as redundancy 1, then failed inside numpy
+        dict(k=2.5),
+        dict(s=8.5),
+        dict(k=True),
     ],
 )
 def test_fec_params_validation(kwargs):

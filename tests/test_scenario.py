@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from twolane import codec, planner, scenario, sim
 from twolane.bertable import load_builtin_table, parse_ber_table
+from twolane.fec import binomial_tail_above
 from twolane.scenario import (
     ScenarioError,
     SWEEP_COLUMNS,
     SweepRow,
-    binomial_tail_above,
     classify_aux_technology,
     parse_scenario,
     plan_point,
@@ -118,8 +118,8 @@ def test_parse_scenario_rejects_bad_grid():
         ("fec_code_rate = 0.8", "fec_code_rate = -inf", "key 'fec_code_rate': not a finite"),
         ("d_aux_cm = 150", "d_aux_cm = inf", "key 'd_aux_cm': not a finite"),
         # the FecParams and LinkParams rules, at parse time and naming the scenario key
-        ("K = 30", "K = 0", "K must be >= 1"),
-        ("s = 8", "s = 0", "s must be >= 1"),
+        ("K = 30", "K = 0", "K must be an integer >= 1, got 0"),
+        ("s = 8", "s = 0", "s must be an integer >= 1, got 0"),
         ("fec_code_rate = 0.8", "fec_code_rate = 1.5", "fec_code_rate must be in (0, 1]"),
         ("fec_code_rate = 0.8", "fec_code_rate = 0", "fec_code_rate must be in (0, 1]"),
         ("d_aux_cm = 150", "d_aux_cm = -5", "d_aux_cm must be >= 0"),
@@ -222,7 +222,7 @@ def test_scenario_rejects_non_finite_distance(field, value):
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("k", 0, "K must be >= 1"),
+        ("k", 0, "K must be an integer >= 1, got 0"),
         ("code_rate", 1.5, "fec_code_rate must be in (0, 1]"),
         ("main_rate", math.inf, "main_rate_bps must be finite, got inf"),
         ("d_start_cm", -50.0, "d_main_start_cm must be >= 0"),

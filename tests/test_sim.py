@@ -256,6 +256,7 @@ def test_sim_config_validation():
     # rejected here, naming the field, not inside sim.run
     for kwargs, message in (
         ({"generations": 2.5}, "generations must be an integer >= 1, got 2.5"),
+        ({"generations": True}, "generations must be an integer >= 1, got True"),
         ({"payload_len": 2.5}, "payload_len must be an integer >= 1, got 2.5"),
         ({"rng_seed": 1.0}, "rng_seed must be an integer >= 0, got 1.0"),
         ({"rng_seed": -1}, "rng_seed must be an integer >= 0, got -1"),
