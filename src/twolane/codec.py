@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf256
+from .fec import check_count
 
 
 class DecodeError(Exception):
@@ -54,10 +55,8 @@ def make_coefficients(k: int, r: int, seed) -> np.ndarray:
     are included. Columns are not screened for rank or all-zero content; a
     bad draw surfaces later as a ``SingularSystemError``.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    check_count("k", k, 1)
+    check_count("r", r, 0)
     coeffs = np.random.default_rng(seed).integers(0, 256, size=(k, r), dtype=np.uint8)
     coeffs.flags.writeable = False
     return coeffs

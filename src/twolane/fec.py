@@ -50,6 +50,19 @@ def check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def check_seed(name: str, value) -> None:
+    """Reject ``value`` unless it is an integer count >= 0 and below SEED_LIMIT."""
+    check_count(name, value, 0)
+    if operator.index(value) >= SEED_LIMIT:  # index, not int: exact for a numpy uint64 too
+        raise ValueError(f"{name} must be < 2**64, got {value!r}")
+
+
+def check_probability(name: str, value) -> None:
+    """Reject ``value`` unless it is in [0, 1]; nan is rejected too."""
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class FecParams:
     """Inputs of the correction-budget model."""
@@ -64,8 +77,7 @@ class FecParams:
         check_count("s", self.s, 1)
         if not 0 < self.code_rate <= 1:
             raise ValueError("code_rate must be in (0, 1]")
-        if not 0 <= self.bit_error_rate <= 1:
-            raise ValueError("bit_error_rate must be in [0, 1]")
+        check_probability("bit_error_rate", self.bit_error_rate)
 
 
 @dataclass(frozen=True)
@@ -84,8 +96,7 @@ def hamming_distance(params: FecParams) -> int:
 
 def correctable_bits(delta_min: int) -> int:
     """Error bits correctable at a given minimum distance (never negative)."""
-    if delta_min < 0:
-        raise ValueError("delta_min must be >= 0")
+    check_count("delta_min", delta_min, 0)
     if delta_min % 2 == 0:
         return max(0, (delta_min - 2) // 2)
     return (delta_min - 1) // 2
@@ -93,18 +104,15 @@ def correctable_bits(delta_min: int) -> int:
 
 def residual_ber(params: FecParams, correctable: int) -> float:
     """Expected per-bit error rate left after spending the correction budget."""
-    if correctable < 0:
-        raise ValueError("correctable must be >= 0")
+    check_count("correctable", correctable, 0)
     bits = params.k * params.s
     return max(0.0, (bits * params.bit_error_rate - params.code_rate * correctable) / bits)
 
 
 def residual_ser(p_bit: float, s: int) -> float:
     """Symbol error rate for s independent bits at residual BER ``p_bit``."""
-    if not 0 <= p_bit <= 1:
-        raise ValueError("p_bit must be in [0, 1]")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    check_probability("p_bit", p_bit)
+    check_count("s", s, 1)
     return 1.0 - (1.0 - p_bit) ** s
 
 
@@ -123,8 +131,7 @@ def derive(params: FecParams) -> FecDerived:
 
 def binomial_tail_above(k: int, p: float, r: int) -> float:
     """Pr[Binomial(k, p) > r], the analytic decode-failure probability."""
-    if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
+    check_probability("p", p)
     if r >= k:
         return 0.0
     acc = 0.0

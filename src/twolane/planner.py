@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fec import FecDerived, FecParams, derive, snap
+from .fec import FecDerived, FecParams, check_count, check_probability, derive, snap
 
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
 
@@ -67,8 +67,7 @@ def main_rate_from_baud(baud_rate: float, bits_per_symbol: int) -> float:
     """Bit rate of a lane driven at ``baud_rate`` with 2^L-level modulation."""
     if baud_rate <= 0:
         raise ValueError("baud_rate must be > 0")
-    if bits_per_symbol < 1:
-        raise ValueError("bits_per_symbol must be >= 1")
+    check_count("bits_per_symbol", bits_per_symbol, 1)
     rate = baud_rate * bits_per_symbol
     if not math.isfinite(rate):
         raise ValueError(f"baud_rate * bits_per_symbol must be finite, got {rate!r}")
@@ -77,17 +76,15 @@ def main_rate_from_baud(baud_rate: float, bits_per_symbol: int) -> float:
 
 def redundancy(residual_ser: float, k: int) -> int:
     """Minimal integer number of coded symbols covering the expected erasures."""
-    if not 0 <= residual_ser <= 1:
-        raise ValueError("residual_ser must be in [0, 1]")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_probability("residual_ser", residual_ser)
+    check_count("k", k, 1)
     return max(0, math.ceil(snap(residual_ser * k)))
 
 
 def total_code_rate(k: int, r: int, code_rate: float) -> float:
     """Combined rate of FEC and coding redundancy: code_rate * k / (k + r)."""
-    if k < 1 or r < 0:
-        raise ValueError("need k >= 1 and r >= 0")
+    check_count("k", k, 1)
+    check_count("r", r, 0)
     if not 0 < code_rate <= 1:
         raise ValueError("code_rate must be in (0, 1]")
     return code_rate * k / (k + r)
@@ -130,8 +127,7 @@ def aux_rate(link: LinkParams, r: int) -> float:
     below aux_distance_bound(), where the matching rate would diverge or
     turn negative.
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    check_count("r", r, 0)
     p = link.fec
     denom = (
         p.code_rate * link.main_rate * (link.main_distance - link.aux_distance)

@@ -41,7 +41,7 @@ from operator import attrgetter
 from typing import get_type_hints
 
 from .bertable import BerTable
-from .fec import SEED_LIMIT, FecParams, snap
+from .fec import FecParams, check_seed, snap
 from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
 
 AUX_POLICIES = ("fixed", "equal_to_main")
@@ -52,15 +52,6 @@ MAX_GRID_POINTS = 100_000
 
 class ScenarioError(ValueError):
     """Malformed or incomplete scenario input."""
-
-
-_LINK_FIELD_KEYS = {
-    "k": "K",
-    "code_rate": "fec_code_rate",
-    "main_rate": "main_rate_bps",
-    "main_distance": "d_main_start_cm",
-    "aux_distance": "d_aux_cm",
-}
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,7 @@ class Scenario:
             raise ScenarioError("d_aux_cm is only allowed with d_aux_policy 'fixed'")
         for name in ("d_start_cm", "d_stop_cm", "d_step_cm"):
             if not math.isfinite(getattr(self, name)):
-                raise ScenarioError(f"{name} must be finite, got {getattr(self, name)!r}")
+                raise ScenarioError(f"{_FIELD_KEYS[name]} must be finite, got {getattr(self, name)!r}")
         if self.d_step_cm <= 0:
             raise ScenarioError("d_main_step_cm must be > 0")
         if self.d_stop_cm < self.d_start_cm:
@@ -99,16 +90,13 @@ class Scenario:
             raise ScenarioError(
                 f"d_main_step_cm = {self.d_step_cm!r} gives {n} grid points, cap {MAX_GRID_POINTS}"
             )
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
-        if self.seed >= SEED_LIMIT:
-            raise ScenarioError(f"seed must be < 2**64, got {self.seed}")
-        # the FecParams and LinkParams rules, checked once here; name the key, not the field
+        # the seed, FecParams and LinkParams rules, checked once here; name the key, not the field
         try:
+            check_seed("seed", self.seed)
             self.link_for(self.d_start_cm, 0.0)
         except ValueError as exc:
             field, _, rule = str(exc).partition(" ")
-            raise ScenarioError(f"{_LINK_FIELD_KEYS.get(field, field)} {rule}") from None
+            raise ScenarioError(f"{_FIELD_KEYS.get(field, field)} {rule}") from None
 
     def grid_size(self) -> int | float:
         """Number of grid distances; inf when the span over the step overflows."""
@@ -169,6 +157,11 @@ _KEYS = {
     "ber_table": ("ber_table", str, False),
     "output": ("output", str, False),
     "seed": ("seed", int, False),
+}
+# field -> the key that sets it, for errors; the LinkParams distances come from these keys
+_FIELD_KEYS = {field: key for key, (field, _, _) in _KEYS.items() if field} | {
+    "main_distance": "d_main_start_cm",
+    "aux_distance": "d_aux_cm",
 }
 
 

@@ -47,7 +47,7 @@ from .codec import (
     encode,
     make_coefficients,
 )
-from .fec import ERROR_MODES, SEED_LIMIT, check_count, snap
+from .fec import ERROR_MODES, check_count, check_probability, check_seed, snap
 from .planner import LinkParams, LinkPlan
 
 CHUNK = 16  # generations per random stream; part of the stream contract
@@ -55,14 +55,11 @@ BLOCK_BYTES = 256  # payload bytes per native in one encode call: one MUL row
 
 
 def check_run_args(generations, error_mode, rng_seed=0, payload_len=1, distance_index=0) -> None:
-    """Reject a count that is not an integer >= its least value or a seed >= 2**64, then a mode."""
-    for name, value, least in (
-        ("generations", generations, 1), ("rng_seed", rng_seed, 0),
-        ("payload_len", payload_len, 1), ("distance_index", distance_index, 0),
-    ):
-        check_count(name, value, least)
-    if int(rng_seed) >= SEED_LIMIT:
-        raise ValueError(f"rng_seed must be < 2**64, got {rng_seed!r}")
+    """Reject a count that is not an integer >= its least value or a bad seed, then a mode."""
+    check_count("generations", generations, 1)
+    check_seed("rng_seed", rng_seed)
+    check_count("payload_len", payload_len, 1)
+    check_count("distance_index", distance_index, 0)
     if error_mode not in ERROR_MODES:
         raise ValueError(f"error_mode must be one of {ERROR_MODES}")
 
@@ -97,16 +94,14 @@ class SimReport:
 
 def erase_symbols(g: int, k: int, p_erase: float, rng: np.random.Generator) -> np.ndarray:
     """(g, k) survivor mask: each main-lane symbol is erased i.i.d. with prob p_erase."""
-    if not 0 <= p_erase <= 1:
-        raise ValueError("p_erase must be in [0, 1]")
+    check_probability("p_erase", p_erase)
     return rng.random((g, k)) >= p_erase
 
 
 def corrupt_bits(g, k, s, bit_error_rate, correctable, code_rate, rng) -> np.ndarray:
     """(g, k) survivor mask: draw the (g, k*s) flip uniforms and correction keys, spend
     the budget floor(code_rate * correctable) per row, erase each symbol still flipped."""
-    if not 0 <= bit_error_rate <= 1:
-        raise ValueError("bit_error_rate must be in [0, 1]")
+    check_probability("bit_error_rate", bit_error_rate)
     flips = rng.random((g, k * s)) < bit_error_rate
     keys = rng.random((g, k * s))
     budget = math.floor(snap(code_rate * correctable))

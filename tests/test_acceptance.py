@@ -231,16 +231,9 @@ def test_monte_carlo_analytic_mode():
     generations = 10_000
     link = headline_link()
     lp = planner.plan(link)
-    rate = planner.aux_rate(link, 3)
-    t_main, t_aux = planner.lane_times(link, 3, rate)
-    forced = dataclasses.replace(
-        lp,
-        fec=dataclasses.replace(lp.fec, residual_ser=0.2),
-        redundancy=3,
-        aux_rate=rate,
-        t_main=t_main,
-        t_aux=t_aux,
-    )
+    # sim.run reads only R and the FEC statistics: the lane timing stays as planned
+    forced_fec = dataclasses.replace(lp.fec, residual_ser=0.2)
+    forced = dataclasses.replace(lp, fec=forced_fec, redundancy=3)
     report = sim.run(
         sim.SimConfig(link=link, plan=forced, generations=generations, rng_seed=401)
     )

@@ -153,7 +153,7 @@ def test_simulate_writes_csv(workdir):
 def test_simulate_negative_seed_is_validation_error(workdir, capsys):
     rc = cli.main(["simulate", "--scenario", str(workdir / "scn.scn"), "--seed", "-1"])
     assert rc == 1
-    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
 
 
 def test_simulate_seed_past_64_bits_is_validation_error(workdir, capsys):

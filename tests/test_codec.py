@@ -69,6 +69,11 @@ def test_make_coefficients_validation():
         codec.make_coefficients(0, 1, seed=0)
     with pytest.raises(ValueError):
         codec.make_coefficients(1, -1, seed=0)
+    for value in (2.5, True):
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {value!r}$"):
+            codec.make_coefficients(value, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^r must be an integer >= 0, got {value!r}$"):
+            codec.make_coefficients(3, value, seed=0)
 
 
 # --------------------------------------------------------------------- encode

@@ -54,6 +54,17 @@ def test_correctable_bits(delta, expected):
 def test_correctable_bits_rejects_negative():
     with pytest.raises(ValueError):
         fec.correctable_bits(-1)
+    for value in (60.5, True):
+        with pytest.raises(ValueError, match=f"^delta_min must be an integer >= 0, got {value!r}$"):
+            fec.correctable_bits(value)
+
+
+def test_check_seed_and_check_probability_messages():
+    fec.check_seed("seed", np.uint64(2**64 - 1))  # compared exactly, not through a float
+    with pytest.raises(ValueError, match=r"^seed must be < 2\*\*64, got 18446744073709551616$"):
+        fec.check_seed("seed", 2**64)
+    with pytest.raises(ValueError, match=r"^bit_error_rate must be in \[0, 1\], got nan$"):
+        params(ber=math.nan)
 
 
 # --------------------------------------------------------------- residual BER

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import numpy as np
 
@@ -218,6 +220,23 @@ def test_link_params_validation():
 
 
 @pytest.mark.parametrize(
+    "call, name, least",
+    [
+        (lambda v: planner.redundancy(0.1, v), "k", 1),
+        (lambda v: planner.total_code_rate(v, 1, 0.8), "k", 1),
+        (lambda v: planner.total_code_rate(30, v, 0.8), "r", 0),
+        (lambda v: planner.aux_rate(link(), v), "r", 0),
+    ],
+    ids=["redundancy-k", "total_code_rate-k", "total_code_rate-r", "aux_rate-r"],
+)
+def test_planner_rejects_a_count_that_is_not_an_integer(call, name, least):
+    for value in (2.5, True, least - 1):
+        message = f"{name} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("main_rate", float("nan")),
@@ -237,5 +256,9 @@ def test_main_rate_from_baud():
         planner.main_rate_from_baud(0, 4)
     with pytest.raises(ValueError):
         planner.main_rate_from_baud(25e9, 0)
+    for value in (2.5, True):
+        message = f"^bits_per_symbol must be an integer >= 1, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
+            planner.main_rate_from_baud(1e9, value)
     with pytest.raises(ValueError, match=r"^baud_rate \* bits_per_symbol must be finite, got inf$"):
         planner.main_rate_from_baud(1e308, 8)

@@ -13,7 +13,6 @@ from twolane.bertable import load_builtin_table, parse_ber_table
 from twolane.fec import binomial_tail_above
 from twolane.scenario import (
     ScenarioError,
-    SWEEP_COLUMNS,
     SweepRow,
     classify_aux_technology,
     parse_scenario,
@@ -109,7 +108,7 @@ def test_parse_scenario_rejects_bad_grid():
             "key 'bits_per_symbol': not a whole number: '4.5'",
         ),
         ("seed = 7", "seed = 1.9", "key 'seed': not a whole number: '1.9'"),
-        ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
+        ("seed = 7", "seed = -1", "seed must be an integer >= 0, got -1"),
         ("seed = 7", f"seed = {2**64}", f"seed must be < 2**64, got {2**64}"),
         ("K = 30", "K = abc", "key 'K': not a finite number: 'abc'"),
         ("main_rate_bps = 800000000000.0", "main_rate_bps = inf", "key 'main_rate_bps': not a finite"),
@@ -205,17 +204,18 @@ def test_parse_scenario_accepts_whole_float():
 
 
 @pytest.mark.parametrize(
-    "field,value",
+    "field,value,key",
     [
-        ("d_start_cm", math.nan),
-        ("d_step_cm", math.nan),
-        ("d_stop_cm", math.inf),
-        ("d_start_cm", -math.inf),
+        ("d_start_cm", math.nan, "d_main_start_cm"),
+        ("d_step_cm", math.nan, "d_main_step_cm"),
+        ("d_stop_cm", math.inf, "d_main_stop_cm"),
+        ("d_start_cm", -math.inf, "d_main_start_cm"),
     ],
+    ids=["d_start_cm-nan", "d_step_cm-nan", "d_stop_cm-inf", "d_start_cm--inf"],
 )
-def test_scenario_rejects_non_finite_distance(field, value):
+def test_scenario_rejects_non_finite_distance(field, value, key):
     sc = parse_scenario(scenario_text())
-    with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+    with pytest.raises(ScenarioError, match=f"^{key} must be finite"):
         dataclasses.replace(sc, **{field: value})
 
 
@@ -323,7 +323,8 @@ def test_sweep_csv_round_trip(tmp_path):
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
     text = path.read_text(encoding="utf-8")
-    assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
+    # the README "Output CSVs" sweep header, spelled out: the contract, not the writer's own tuple
+    assert text.splitlines()[0] == "d_main_cm,p_e,P_b,P_s,R,R_T,theta,C_aux_bps,T_main_s,T_aux_s"
     assert "\r" not in text
     assert read_sweep_csv(path) == rows
 
@@ -449,7 +450,7 @@ def test_simulate_deterministic_csv_bytes(tmp_path):
 
 def test_simulate_rejects_negative_seed_override():
     sc = parse_scenario(scenario_text(d_start=650, d_stop=650))
-    with pytest.raises(ScenarioError, match="seed must be >= 0, got -1"):
+    with pytest.raises(ScenarioError, match="seed must be an integer >= 0, got -1"):
         simulate(sc, flat_table(), generations=1, seed=-1)
 
 

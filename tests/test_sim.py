@@ -35,21 +35,13 @@ def config(ber=0.2, generations=200, seed=1, mode="analytic-erasure", **plan_ove
     )
 
 
-def plan_with_residual_ser(ps: float, redundancy: int, link=None):
-    """Plan override for what-if runs: forced erasure probability and R."""
-    link = link or make_link()
-    lp = planner.plan(link)
+def plan_with_residual_ser(ps: float, redundancy: int):
+    """Plan override for what-if runs: forced erasure probability and R.
+
+    sim.run reads only R and the FEC statistics, so the lane timing is left as planned."""
+    lp = planner.plan(make_link())
     fec_forced = dataclasses.replace(lp.fec, residual_ser=ps)
-    rate = planner.aux_rate(link, redundancy)
-    t_main, t_aux = planner.lane_times(link, redundancy, rate)
-    return dataclasses.replace(
-        lp,
-        fec=fec_forced,
-        redundancy=redundancy,
-        aux_rate=rate,
-        t_main=t_main,
-        t_aux=t_aux,
-    )
+    return dataclasses.replace(lp, fec=fec_forced, redundancy=redundancy)
 
 
 # -------------------------------------------------------------- erase_symbols
