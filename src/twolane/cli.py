@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    plan      one grid point -> one-row CSV (sweep columns)
+    plan      one-point sweep at --d-main-cm -> one-row CSV; aux technology on stderr
     sweep     full distance sweep -> CSV
     simulate  Monte Carlo per distance -> CSV with analytic columns
     classify  auxiliary rate in bits/s -> technology label
@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .bertable import load_ber_table, load_builtin_table
 from .fec import ERROR_MODES
-from .planner import InfeasibleAuxDistanceError
 from .scenario import (
     ScenarioError,
     classify_aux_technology,
     load_scenario,
-    plan_point,
     simulate,
     sweep,
     write_sim_csv,
@@ -85,14 +84,6 @@ def _load_inputs(args):
     return sc, load_ber_table(table_path)
 
 
-def _emit(rows, write_csv, out_path) -> None:
-    if out_path:
-        write_csv(rows, out_path)
-        print(f"wrote {len(rows)} rows to {out_path}")
-    else:
-        write_csv(rows, sys.stdout)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -102,23 +93,11 @@ def main(argv=None) -> int:
 
         sc, table = _load_inputs(args)
         out_path = args.out or sc.output
-
         if args.command == "plan":
-            d = args.d_main_cm if args.d_main_cm is not None else sc.d_start_cm
-            try:
-                row = plan_point(sc, table, d, interpolate=args.interpolate)
-            except InfeasibleAuxDistanceError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            _emit([row], write_sweep_csv, out_path)
-            label = classify_aux_technology(row.aux_rate_bps)
-            print(f"aux technology: {label}", file=sys.stderr)
-            return 0
+            d = sc.d_start_cm if args.d_main_cm is None else args.d_main_cm
+            sc = replace(sc, d_start_cm=d, d_stop_cm=d)
 
-        if args.command == "sweep":
-            rows, errors = sweep(sc, table, interpolate=args.interpolate)
-            write_csv = write_sweep_csv
-        else:
+        if args.command == "simulate":
             rows, errors = simulate(
                 sc,
                 table,
@@ -128,12 +107,22 @@ def main(argv=None) -> int:
                 seed=args.seed,
             )
             write_csv = write_sim_csv
+        else:
+            rows, errors = sweep(sc, table, interpolate=args.interpolate)
+            write_csv = write_sweep_csv
         for e in errors:
             print(f"warning: d_main={e.d_main_cm} cm skipped: {e.message}", file=sys.stderr)
         if not rows and errors:
             print("error: every sweep point is infeasible", file=sys.stderr)
             return 2
-        _emit(rows, write_csv, out_path)
+        if out_path:
+            write_csv(rows, out_path)
+            print(f"wrote {len(rows)} rows to {out_path}")
+        else:
+            write_csv(rows, sys.stdout)
+        if args.command == "plan":
+            label = classify_aux_technology(rows[0].aux_rate_bps)
+            print(f"aux technology: {label}", file=sys.stderr)
         return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

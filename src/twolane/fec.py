@@ -131,7 +131,9 @@ def derive(params: FecParams) -> FecDerived:
 
 def binomial_tail_above(k: int, p: float, r: int) -> float:
     """Pr[Binomial(k, p) > r], the analytic decode-failure probability."""
+    check_count("k", k, 1)
     check_probability("p", p)
+    check_count("r", r, 0)
     if r >= k:
         return 0.0
     acc = 0.0

@@ -103,6 +103,7 @@ def lane_times(link: LinkParams, r: int, aux_rate: float) -> tuple[float, float]
     With no redundancy there is no auxiliary transmission and t_aux is
     reported as 0.
     """
+    check_count("r", r, 0)
     p = link.fec
     t_main = p.k * p.s / (p.code_rate * link.main_rate) + link.main_distance / LIGHT_SPEED
     if r == 0:

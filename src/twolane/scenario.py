@@ -251,35 +251,41 @@ class RowError:
     message: str
 
 
-def plan_point(sc: Scenario, table: BerTable, d_main_cm: float, interpolate: bool = False) -> SweepRow:
-    """Plan one grid distance; raises on an infeasible auxiliary distance."""
-    p_e = table.lookup(sc.channel, sc.modulation, d_main_cm, interpolate=interpolate)
-    lp = plan(sc.link_for(d_main_cm, p_e))
-    return SweepRow(
-        d_main_cm=d_main_cm,
-        p_e=p_e,
-        p_residual_bit=lp.fec.residual_ber,
-        p_residual_symbol=lp.fec.residual_ser,
-        redundancy=lp.redundancy,
-        total_rate=lp.total_rate,
-        overhead=lp.overhead,
-        aux_rate_bps=lp.aux_rate,
-        t_main_s=lp.t_main,
-        t_aux_s=lp.t_aux,
-    )
+def _plans(sc: Scenario, table: BerTable, interpolate: bool, errors: list[RowError]):
+    """Yield ``(grid index, d, p_e, link, plan)`` for each feasible grid distance, in order,
+    and append a RowError to ``errors`` for each infeasible one. ``plan`` is called through
+    the module global, so a caller can wrap or replace ``scenario.plan`` to see every call."""
+    for i, d in enumerate(sc.distances_cm()):
+        p_e = table.lookup(sc.channel, sc.modulation, d, interpolate=interpolate)
+        link = sc.link_for(d, p_e)
+        try:
+            lp = plan(link)
+        except InfeasibleAuxDistanceError as exc:
+            errors.append(RowError(d_main_cm=d, message=str(exc)))
+            continue
+        yield i, d, p_e, link, lp
 
 
 def sweep(
     sc: Scenario, table: BerTable, interpolate: bool = False
 ) -> tuple[list[SweepRow], list[RowError]]:
     """Plan every grid distance; infeasible points become recorded errors."""
-    rows: list[SweepRow] = []
     errors: list[RowError] = []
-    for d in sc.distances_cm():
-        try:
-            rows.append(plan_point(sc, table, d, interpolate=interpolate))
-        except InfeasibleAuxDistanceError as exc:
-            errors.append(RowError(d_main_cm=d, message=str(exc)))
+    rows = [
+        SweepRow(
+            d_main_cm=d,
+            p_e=p_e,
+            p_residual_bit=lp.fec.residual_ber,
+            p_residual_symbol=lp.fec.residual_ser,
+            redundancy=lp.redundancy,
+            total_rate=lp.total_rate,
+            overhead=lp.overhead,
+            aux_rate_bps=lp.aux_rate,
+            t_main_s=lp.t_main,
+            t_aux_s=lp.t_aux,
+        )
+        for _, d, p_e, _, lp in _plans(sc, table, interpolate, errors)
+    ]
     return rows, errors
 
 
@@ -401,14 +407,7 @@ def simulate(
     per_run = {"generations": generations, "rng_seed": sc.seed, "error_mode": mode}
     rows: list[SimRow] = []
     errors: list[RowError] = []
-    for i, d in enumerate(sc.distances_cm()):
-        try:
-            p_e = table.lookup(sc.channel, sc.modulation, d, interpolate=interpolate)
-            link = sc.link_for(d, p_e)
-            lp = plan(link)
-        except InfeasibleAuxDistanceError as exc:
-            errors.append(RowError(d_main_cm=d, message=str(exc)))
-            continue
+    for i, d, p_e, link, lp in _plans(sc, table, interpolate, errors):
         report = run(SimConfig(link=link, plan=lp, distance_index=i, **per_run))
         rows.append(
             SimRow(

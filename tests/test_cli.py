@@ -14,7 +14,8 @@ from twolane.scenario import read_sweep_csv
 from conftest import scenario_text
 
 # the two headers README "Output CSVs" documents, sweep then simulate: the CSV contract
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 SWEEP_HEADER, SIM_HEADER = re.findall(
     r"```\n(.+)\n```", README.split("### Output CSVs", 1)[1].split("\n### ", 1)[0]
 )
@@ -69,13 +70,39 @@ def test_plan_defaults_to_sweep_start(workdir, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("200.0,")
 
 
+@pytest.mark.parametrize("scenario", ["channel_b_16psk", "channel_b_16psk_equal_aux"])
+def test_plan_is_a_one_point_sweep(scenario, capsys):
+    # reads the golden sweep, writes none: plan at a grid distance prints that golden row
+    header, *rows = (ROOT / "tests" / "golden" / f"{scenario}.sweep.csv").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    scn = str(ROOT / "scenarios" / f"{scenario}.scn")
+    for row in rows:
+        assert cli.main(["plan", "--scenario", scn, "--d-main-cm", row.split(",")[0]]) == 0
+        assert capsys.readouterr().out == f"{header}\n{row}\n"
+
+
 def test_plan_infeasible_point_is_exit_2(workdir, tmp_path, capsys):
     (tmp_path / "bad.scn").write_text(
         scenario_text(aux_cm=10000, extra="ber_table = ber.csv"), encoding="utf-8"
     )
     rc = cli.main(["plan", "--scenario", str(tmp_path / "bad.scn"), "--d-main-cm", "200"])
     assert rc == 2
-    assert "feasibility bound" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "",
+        "warning: d_main=200.0 cm skipped: auxiliary distance 100.0 m is not below the "
+        "feasibility bound 2.1125 m\nerror: every sweep point is infeasible\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [("nan", "d_main_start_cm must be finite, got nan"), ("-50", "d_main_start_cm must be >= 0")],
+)
+def test_plan_bad_distance_is_validation_error(workdir, d, message, capsys):
+    rc = cli.main(["plan", "--scenario", str(workdir / "scn.scn"), "--d-main-cm", d])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_sweep_writes_csv(workdir, capsys):

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from twolane import fec
-from twolane.fec import FecParams
+from twolane.fec import FecParams, binomial_tail_above
+from twolane.planner import LinkParams, lane_times
 
 
 def params(k=30, s=8, code_rate=0.8, ber=0.2):
@@ -175,6 +177,35 @@ def test_derived_invariants():
             assert d.residual_ser == 0
 
 
+# -------------------------------------------------------- decode-failure tail
+
+
+def test_binomial_tail_matches_scipy():
+    from scipy.stats import binom
+
+    for k, p, r in [(30, 0.2, 3), (30, 0.5822, 18), (10, 0.0, 0), (10, 1.0, 5), (30, 0.3, 30)]:
+        assert binomial_tail_above(k, p, r) == pytest.approx(
+            float(binom.sf(r, k, p)), abs=1e-12
+        )
+
+
+def test_binomial_tail_beyond_float_coefficients():
+    # C(k, i) passes the float range from k of about 1030 on
+    from scipy.stats import binom
+
+    for k, p, r in [
+        (1100, 0.5, 10),
+        (1100, 0.5, 560),
+        (1100, 0.05, 60),
+        (1100, 0.0, 10),
+        (1100, 1.0, 10),
+        (5000, 0.5, 2500),
+        (5000, 0.1, 520),
+        (5000, 0.3, 1560),
+    ]:
+        assert binomial_tail_above(k, p, r) == pytest.approx(float(binom.sf(r, k, p)), rel=1e-12)
+
+
 # ----------------------------------------------------------------- validation
 
 
@@ -196,3 +227,19 @@ def test_derived_invariants():
 def test_fec_params_validation(kwargs):
     with pytest.raises(ValueError):
         params(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, name, least",
+    [
+        (lambda v: binomial_tail_above(v, 0.2, 3), "k", 1),
+        (lambda v: binomial_tail_above(30, 0.2, v), "r", 0),
+        (lambda v: lane_times(LinkParams(params(), 8e11, 6.5, 1.5), v, 1e9), "r", 0),
+    ],
+    ids=["binomial_tail_above-k", "binomial_tail_above-r", "lane_times-r"],
+)
+def test_tail_and_lane_times_reject_a_count_that_is_not_an_integer(call, name, least):
+    for value in (2.5, True, least - 1):
+        message = f"{name} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)

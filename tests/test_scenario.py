@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from twolane import codec, planner, scenario, sim
 from twolane.bertable import load_builtin_table, parse_ber_table
-from twolane.fec import binomial_tail_above
 from twolane.scenario import (
     ScenarioError,
     SweepRow,
     classify_aux_technology,
     parse_scenario,
-    plan_point,
     read_sweep_csv,
     simulate,
     sweep,
@@ -296,7 +294,8 @@ def test_sweep_rows_are_order_independent():
     rows, _ = sweep(sc, table)
     by_distance = {r.d_main_cm: r for r in rows}
     for d in reversed(sc.distances_cm()):
-        assert plan_point(sc, table, d) == by_distance[d]
+        (row,), _ = sweep(dataclasses.replace(sc, d_start_cm=d, d_stop_cm=d), table)
+        assert row == by_distance[d]
 
 
 def test_sweep_redundancy_consistent_with_residual_ser():
@@ -398,32 +397,6 @@ def test_classify_rejects_negative():
 
 
 # ----------------------------------------------------------------- simulation
-
-
-def test_binomial_tail_matches_scipy():
-    from scipy.stats import binom
-
-    for k, p, r in [(30, 0.2, 3), (30, 0.5822, 18), (10, 0.0, 0), (10, 1.0, 5), (30, 0.3, 30)]:
-        assert binomial_tail_above(k, p, r) == pytest.approx(
-            float(binom.sf(r, k, p)), abs=1e-12
-        )
-
-
-def test_binomial_tail_beyond_float_coefficients():
-    # C(k, i) passes the float range from k of about 1030 on
-    from scipy.stats import binom
-
-    for k, p, r in [
-        (1100, 0.5, 10),
-        (1100, 0.5, 560),
-        (1100, 0.05, 60),
-        (1100, 0.0, 10),
-        (1100, 1.0, 10),
-        (5000, 0.5, 2500),
-        (5000, 0.1, 520),
-        (5000, 0.3, 1560),
-    ]:
-        assert binomial_tail_above(k, p, r) == pytest.approx(float(binom.sf(r, k, p)), rel=1e-12)
 
 
 def test_simulate_lossless_point():
