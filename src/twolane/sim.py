@@ -21,11 +21,12 @@ draws, in this order, its (G, K, L) natives, then either the (G, K) erasure
 uniforms or the (G, K*s) flip uniforms and (G, K*s) correction keys. Seeds
 are below 2**64, so no two (seed, distance, chunk) keys share a stream.
 
-Encode runs per block: one ``Generation`` whose payload i stacks payload i
-of up to 256 // L of a chunk's generations (at least one), so a coefficient's
-256-byte table row is gathered once per block. Decode runs per generation.
-The receive buffer is unbounded; the symbols received per generation are
-only reported, as a histogram.
+A generation gets its surviving natives and all R coded payloads, so one
+with fewer than K is counted insufficient from the survivor mask alone and
+neither encoded nor decoded. The others are encoded in blocks, one
+``Generation`` whose payload i stacks payload i of up to 256 // L of them (at
+least one), and decoded one by one. The receive buffer is unbounded; the
+symbols received per generation are only reported, as a histogram.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 
 from .codec import (
     Generation,
-    InsufficientSymbolsError,
     ReceivedGeneration,
     ReceivedSymbol,
     SingularSystemError,
@@ -112,24 +112,25 @@ def correct_flips(flips: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarra
     """Clear in place, per row, the min(flips, budget) flipped bits with the smallest keys.
 
     Uniform keys in [0, 1) make the cleared bits a uniformly random subset of the flips."""
-    b = min(budget, flips.shape[1])
-    if b > 0:
-        ranked = np.argpartition(np.where(flips, keys, 2.0), b - 1, axis=1)[:, :b]
-        np.put_along_axis(flips, ranked, False, axis=1)
+    if budget > 0:
+        over = np.count_nonzero(flips, axis=1) > budget
+        flips[~over] = False  # these rows' flips all fit the budget
+        if over.any():
+            ranked = np.argpartition(np.where(flips[over], keys[over], 2.0), budget - 1, axis=1)
+            flips[np.flatnonzero(over)[:, None], ranked[:, :budget]] = False
     return flips
 
 
 def run(cfg: SimConfig) -> SimReport:
     """Simulate cfg.generations independent generations end to end."""
-    fec, k = cfg.link.fec, cfg.link.fec.k
+    fec, k, r = cfg.link.fec, cfg.link.fec.k, cfg.plan.redundancy
     n, length = int(cfg.generations), int(cfg.payload_len)
     seed, distance = int(cfg.rng_seed), int(cfg.distance_index)
     streams = (np.random.SeedSequence(seed, spawn_key=(distance, key)) for key in count())
-    coeffs = make_coefficients(k, cfg.plan.redundancy, seed=next(streams))
+    coeffs = make_coefficients(k, r, seed=next(streams))
     per_block = max(1, BLOCK_BYTES // length)
     report = SimReport(sent_generations=n)
     histogram = report.received_histogram
-    erased_total = 0
 
     for first, stream in zip(range(0, n, CHUNK), streams):
         rng = np.random.default_rng(stream)
@@ -141,12 +142,17 @@ def run(cfg: SimConfig) -> SimReport:
             alive = corrupt_bits(
                 g, k, fec.s, fec.bit_error_rate, cfg.plan.fec.correctable_bits, fec.code_rate, rng
             )
-        erased_total += alive.size - int(np.count_nonzero(alive))
+        received = np.count_nonzero(alive, axis=1) + r  # every coded payload arrives
+        for total in received.tolist():
+            histogram[total] = histogram.get(total, 0) + 1
+        kept = np.flatnonzero(received >= k)  # the rest can neither decode nor need encoding
+        report.insufficient_failures += g - len(kept)
 
-        for b0 in range(0, g, per_block):
-            stacked = tuple(p.tobytes() for p in natives[b0 : b0 + per_block].transpose(1, 0, 2))
-            coded = encode(Generation(symbols=stacked, generation_id=first + b0), coeffs)
-            for b, row in enumerate(alive[b0 : b0 + per_block].tolist()):
+        for b0 in range(0, len(kept), per_block):
+            block = kept[b0 : b0 + per_block].tolist()
+            stacked = tuple(p.tobytes() for p in natives[block].transpose(1, 0, 2))
+            coded = encode(Generation(symbols=stacked, generation_id=first + block[0]), coeffs)
+            for b, (i, row) in enumerate(zip(block, alive[block].tolist())):
                 cut = itemgetter(slice(b * length, (b + 1) * length))
                 sent = tuple(map(cut, stacked))
                 survivors = compress(range(k), row), compress(sent, row)
@@ -154,11 +160,8 @@ def run(cfg: SimConfig) -> SimReport:
                     *map(ReceivedSymbol, repeat("native"), *survivors),
                     *map(ReceivedSymbol, repeat("coded"), range(len(coded)), map(cut, coded)),
                 )
-                histogram[len(entries)] = histogram.get(len(entries), 0) + 1
                 try:
-                    out = decode(ReceivedGeneration(entries, first + b0 + b), coeffs, k)
-                except InsufficientSymbolsError:
-                    report.insufficient_failures += 1
+                    out = decode(ReceivedGeneration(entries, first + i), coeffs, k)
                 except SingularSystemError:
                     report.singular_failures += 1
                 else:
@@ -166,7 +169,7 @@ def run(cfg: SimConfig) -> SimReport:
                     if out.symbols != sent:
                         report.payload_mismatches += 1
 
-    failures = report.insufficient_failures + report.singular_failures
-    report.decode_failure_rate = failures / n
-    report.symbol_erasure_rate = erased_total / (k * n)
+    erased = n * (k + r) - sum(total * times for total, times in histogram.items())
+    report.decode_failure_rate = (report.insufficient_failures + report.singular_failures) / n
+    report.symbol_erasure_rate = erased / (k * n)
     return report

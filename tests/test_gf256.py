@@ -110,6 +110,8 @@ def pair(n, k, length, seed=0):
 @example(pair(2, 3, 0))  # no columns: a decode with no surviving natives
 @example(pair(4, 5, 1))
 @example(pair(2, 5, 300))  # wider than one 256-byte table row
+@example(pair(9, 2, 256))  # the least shape on the nibble path
+@example(pair(17, 1, 513))  # nibble path, padded to 32 bytes, ragged last block
 def test_matmul_matches_bruteforce_oracle(ab):
     a, b = ab
     out = gf256.matmul(a, b)
@@ -123,3 +125,25 @@ def test_matmul_matches_bruteforce_oracle(ab):
             for p in range(k):
                 expected ^= gf_mul_ref(int(a[i, p]), int(b[p, col]))
             assert out[i, col] == expected
+
+
+# Every product a * b, tabulated from the brute-force oracle, and a matmul built
+# on it alone: one table lookup per (row, coefficient, byte), then the XOR.
+REF_MUL = np.array([[gf_mul_ref(a, b) for b in range(256)] for a in range(256)], dtype=np.uint8)
+
+
+def matmul_ref(a, b):
+    return np.bitwise_xor.reduce(REF_MUL[a[:, :, None], b[None, :, :]], axis=1)
+
+
+@pytest.mark.parametrize("length", [255, 256, 257, 513, 1024])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+def test_matmul_both_paths_match_the_tabulated_oracle(n, length):
+    # n = 8 and L = 255 stay on the byte gather; the rest take the nibble path,
+    # padded to 16, 32 and 40 bytes, with a ragged last block at 257 and 513
+    for k in (1, 30):
+        a, b = pair(n, k, length, seed=n * length + k)
+        assert np.array_equal(gf256.matmul(a, b), matmul_ref(a, b))
+    # decode passes a strided slice of its elimination matrix
+    wide, b = pair(n, 60, length, seed=1)
+    assert np.array_equal(gf256.matmul(wide[:, 1::2], b[1::2]), matmul_ref(wide[:, 1::2], b[1::2]))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -311,3 +312,88 @@ def test_large_seed_does_not_alias_a_small_one(monkeypatch):
     assert not any(shared_prefix(a, b) for a in big for b in small)
     reports = [sim.run(config(generations=50, seed=seed)) for seed in (2**32 + 7, 7)]
     assert reports[0] != reports[1]
+
+
+# ------------------------------------------------------------ undecodable skip
+
+
+@pytest.mark.parametrize("payload_len", [8, 1024])
+def test_run_codes_only_generations_with_k_symbols(monkeypatch, payload_len):
+    cfg = dataclasses.replace(config(generations=40, seed=23), payload_len=payload_len)
+    r = cfg.plan.redundancy
+    masks, blocks, decoded = [], [], []
+    real_erase, real_encode, real_decode = sim.erase_symbols, sim.encode, sim.decode
+
+    def erase_spy(*args):
+        masks.append(real_erase(*args))
+        return masks[-1]
+
+    def encode_spy(gen, coeffs):
+        coded = real_encode(gen, coeffs)
+        blocks.append((gen.generation_id, len(gen.symbols[0]) // payload_len, coded))
+        return coded
+
+    def decode_spy(received, coeffs, k, stats=None):
+        coded = [e.payload for e in received.entries if e.kind == "coded"]
+        decoded.append((received.generation_id, len(received.entries), coded))
+        return real_decode(received, coeffs, k, stats)
+
+    monkeypatch.setattr(sim, "erase_symbols", erase_spy)
+    monkeypatch.setattr(sim, "encode", encode_spy)
+    monkeypatch.setattr(sim, "decode", decode_spy)
+    report = sim.run(cfg)
+
+    received = (np.concatenate(masks).sum(axis=1) + r).tolist()
+    enough = [g for g, count in enumerate(received) if count >= 30]
+    assert [gid for gid, _, _ in decoded] == enough
+    assert all(count >= 30 for _, count, _ in decoded)
+    assert report.insufficient_failures == 40 - len(enough) > 0
+    assert report.received_histogram == dict(Counter(received))
+    # the encode blocks hold exactly the decoded generations, in order: slot b of
+    # a block carries the coded payloads that generation's decode received
+    at = 0
+    for first_id, size, coded in blocks:
+        assert first_id == decoded[at][0]
+        for b in range(size):
+            assert decoded[at][2] == [c[b * payload_len : (b + 1) * payload_len] for c in coded]
+            at += 1
+    assert at == len(decoded)
+
+
+# SimReport fields at config(generations=64, seed=5) as run before undecodable
+# generations were skipped; the simulate goldens cover 8-byte payloads only.
+REPORTS_BEFORE_THE_SKIP = {
+    (8, "analytic-erasure"): (
+        48, 16, 0.5671875,
+        {24: 1, 26: 2, 27: 6, 28: 3, 29: 4, 30: 13, 31: 10, 32: 8, 33: 3, 34: 9, 35: 2, 37: 2,
+         40: 1},
+    ),
+    (8, "bit-level"): (
+        36, 28, 0.5989583333333334,
+        {23: 1, 24: 3, 25: 4, 26: 3, 27: 7, 28: 1, 29: 9, 30: 6, 31: 7, 32: 8, 33: 4, 34: 4,
+         35: 3, 36: 3, 37: 1},
+    ),
+    (1024, "analytic-erasure"): (
+        38, 26, 0.5791666666666667,
+        {26: 4, 27: 2, 28: 8, 29: 12, 30: 4, 31: 12, 32: 9, 33: 4, 34: 4, 35: 2, 36: 1, 38: 2},
+    ),
+    (1024, "bit-level"): (
+        31, 33, 0.6041666666666666,
+        {22: 1, 23: 1, 24: 1, 25: 5, 26: 9, 27: 7, 28: 3, 29: 6, 30: 2, 31: 4, 32: 5, 33: 6,
+         34: 6, 35: 2, 36: 2, 37: 3, 38: 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("payload_len, mode", list(REPORTS_BEFORE_THE_SKIP))
+def test_run_reports_are_unchanged_by_the_skip(payload_len, mode):
+    decoded, insufficient, erasure_rate, histogram = REPORTS_BEFORE_THE_SKIP[payload_len, mode]
+    cfg = dataclasses.replace(config(generations=64, seed=5, mode=mode), payload_len=payload_len)
+    assert sim.run(cfg) == sim.SimReport(
+        sent_generations=64,
+        decoded_generations=decoded,
+        insufficient_failures=insufficient,
+        decode_failure_rate=insufficient / 64,
+        symbol_erasure_rate=erasure_rate,
+        received_histogram=histogram,
+    )
