@@ -112,12 +112,10 @@ def correct_flips(flips: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarra
     """Clear in place, per row, the min(flips, budget) flipped bits with the smallest keys.
 
     Uniform keys in [0, 1) make the cleared bits a uniformly random subset of the flips."""
-    if budget > 0:
-        over = np.count_nonzero(flips, axis=1) > budget
-        flips[~over] = False  # these rows' flips all fit the budget
-        if over.any():
-            ranked = np.argpartition(np.where(flips[over], keys[over], 2.0), budget - 1, axis=1)
-            flips[np.flatnonzero(over)[:, None], ranked[:, :budget]] = False
+    b = min(budget, flips.shape[1])
+    if b > 0:
+        ranked = np.argpartition(np.where(flips, keys, 2.0), b - 1, axis=1)[:, :b]
+        np.put_along_axis(flips, ranked, False, axis=1)
     return flips
 
 

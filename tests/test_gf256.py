@@ -110,8 +110,6 @@ def pair(n, k, length, seed=0):
 @example(pair(2, 3, 0))  # no columns: a decode with no surviving natives
 @example(pair(4, 5, 1))
 @example(pair(2, 5, 300))  # wider than one 256-byte table row
-@example(pair(9, 2, 256))  # the least shape on the nibble path
-@example(pair(17, 1, 513))  # nibble path, padded to 32 bytes, ragged last block
 def test_matmul_matches_bruteforce_oracle(ab):
     a, b = ab
     out = gf256.matmul(a, b)
@@ -137,9 +135,9 @@ def matmul_ref(a, b):
 
 
 @pytest.mark.parametrize("length", [255, 256, 257, 513, 1024])
-@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 32, 33])
 def test_matmul_both_paths_match_the_tabulated_oracle(n, length):
-    # n = 8 and L = 255 stay on the byte gather; the rest take the nibble path,
+    # n = 7 and L = 255 stay on the byte gather; the rest take the nibble path,
     # padded to 16, 32 and 40 bytes, with a ragged last block at 257 and 513
     for k in (1, 30):
         a, b = pair(n, k, length, seed=n * length + k)

@@ -279,13 +279,14 @@ def test_check_run_args_rejects_a_seed_past_64_bits():
 
 def stream_heads(monkeypatch, cfg) -> list[bytes]:
     """The bytes each stream of a run starts with: the coefficients, then the
-    natives of the first generation of every encode block."""
+    natives of the first generation of every chunk that gets encoded."""
     heads = []
 
     def spy(gen, coeffs):
         if not heads:
             heads.append(coeffs.tobytes())
-        heads.append(b"".join(p[: cfg.payload_len] for p in gen.symbols))
+        if gen.generation_id % sim.CHUNK == 0:
+            heads.append(b"".join(p[: cfg.payload_len] for p in gen.symbols))
         return codec.encode(gen, coeffs)
 
     monkeypatch.setattr(sim, "encode", spy)
@@ -299,16 +300,21 @@ def shared_prefix(a: bytes, b: bytes) -> bool:
 
 
 def test_coefficient_stream_is_no_chunk_stream(monkeypatch):
-    coeffs, *chunks = stream_heads(monkeypatch, config(generations=3 * sim.CHUNK, seed=7))
-    assert len(chunks) >= 3  # one encode block per chunk at 8-byte payloads
+    # R = K: every generation has K symbols, so every chunk's first one is encoded
+    cfg = config(generations=3 * sim.CHUNK, seed=7, redundancy=30)
+    coeffs, *chunks = stream_heads(monkeypatch, cfg)
+    assert len(chunks) == 3
     assert not any(shared_prefix(coeffs, head) for head in chunks)
 
 
 def test_large_seed_does_not_alias_a_small_one(monkeypatch):
     # 2**32 + 7 is the entropy words (7, 1); with the words padded before the
     # spawn key, no stream of it is a stream of seed 7
-    big = stream_heads(monkeypatch, config(generations=2 * sim.CHUNK, seed=2**32 + 7))
-    small = stream_heads(monkeypatch, config(generations=2 * sim.CHUNK, seed=7))
+    big, small = (
+        stream_heads(monkeypatch, config(generations=2 * sim.CHUNK, seed=seed, redundancy=30))
+        for seed in (2**32 + 7, 7)
+    )
+    assert len(big) == len(small) == 3
     assert not any(shared_prefix(a, b) for a in big for b in small)
     reports = [sim.run(config(generations=50, seed=seed)) for seed in (2**32 + 7, 7)]
     assert reports[0] != reports[1]
