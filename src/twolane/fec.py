@@ -43,10 +43,14 @@ def snap(x: float) -> float:
     return nearest if abs(x - nearest) < 1e-9 else x
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool."""
+    return type(value) is int or not isinstance(value, bool) and hasattr(value, "__index__")
+
+
 def check_count(name: str, value, least: int) -> None:
-    """Reject ``value`` unless it is a Python or numpy integer, not a bool, >= ``least``."""
-    integer = type(value) is int or not isinstance(value, bool) and hasattr(value, "__index__")
-    if not integer or operator.index(value) < least:  # type() first: plain ints pay least
+    """Reject ``value`` unless it is an integer (``is_integer``) >= ``least``."""
+    if not is_integer(value) or operator.index(value) < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

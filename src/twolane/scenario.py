@@ -37,11 +37,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import get_type_hints
 
 from .bertable import BerTable
-from .fec import FecParams, check_seed, snap
+from .fec import FecParams, check_seed, is_integer, snap
 from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
 
 AUX_POLICIES = ("fixed", "equal_to_main")
@@ -290,9 +290,10 @@ def sweep(
 
 
 def _format(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+    """An integer (Python or numpy, not a bool) in decimal, any other number as a float."""
+    if type(value) is float:  # most cells: checked first
+        return repr(value)
+    return str(index(value)) if is_integer(value) else repr(float(value))
 
 
 def write_rows_csv(path_or_file, columns, rows_of_values) -> None:

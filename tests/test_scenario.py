@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,6 +327,21 @@ def test_sweep_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == "d_main_cm,p_e,P_b,P_s,R,R_T,theta,C_aux_bps,T_main_s,T_aux_s"
     assert "\r" not in text
     assert read_sweep_csv(path) == rows
+
+
+def test_sweep_csv_of_numpy_values_reads_back(tmp_path):
+    # an R computed with numpy is still an integer column: "3", never "3.0"
+    rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
+    as_numpy = [
+        SweepRow(*(np.int64(v) if type(v) is int else np.float64(v) for v in dataclasses.astuple(r)))
+        for r in rows
+    ]
+    write_sweep_csv(rows, tmp_path / "python.csv")
+    write_sweep_csv(as_numpy, tmp_path / "numpy.csv")
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+    assert read_sweep_csv(tmp_path / "numpy.csv") == rows
+    assert scenario._format(np.int64(3)) == "3" and scenario._format(np.uint8(255)) == "255"
+    assert scenario._format(True) == "1.0"  # a bool is not an integer column value
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
