@@ -6,11 +6,15 @@ combination of the K natives defined by one column of a K x R coefficient
 array; the natives themselves are transmitted unchanged. Decoding recovers
 the K natives from any rank-K subset of received symbols, solving only for
 the missing natives: Gauss-Jordan elimination runs on the coefficients
-alone, one table-row product per pivot with the pivot row's scale folded
-into the update, then the payload bytes are multiplied once by
-``gf256.matmul``, the kernel that also encodes. Natives that survived are
-emitted as-is. ``encode`` and ``decode`` share one input check, and ``decode``
-checks each entry's kind, index and uniqueness in the walk that sorts them.
+alone, then the payload bytes are multiplied once by ``gf256.matmul``, the
+kernel that also encodes. Each pivot costs a fixed handful of numpy calls:
+a scalar test of the entry in the pivot row (the rows below are searched
+only when it is zero), one gather of the pivot column's factors into a
+preallocated block, and one two-step table gather that updates every row,
+the pivot row's scale folded in. Row operations are counted once per
+decode, from that block. Natives that survived are emitted as-is.
+``encode`` and ``decode`` share one input check, and ``decode`` checks each
+entry's kind, index and uniqueness in the walk that sorts them.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -140,8 +144,9 @@ def decode(
     r = coeffs.shape[1]
 
     natives: list[bytes | None] = [None] * k
-    coded: list[bytes | None] = [None] * r
+    coded_seen = [False] * r
     coded_cols: list[int] = []  # in received order, the elimination's row order
+    coded_payloads: list[bytes] = []
     for kind, index, payload in entries:
         if kind == "native":
             if not 0 <= index < k:
@@ -151,9 +156,10 @@ def decode(
         elif kind == "coded":
             if not 0 <= index < r:
                 raise ValueError(f"coded index {index} out of range for r={r}")
-            seen = coded[index] is not None
-            coded[index] = payload
+            seen = coded_seen[index]
+            coded_seen[index] = True
             coded_cols.append(index)
+            coded_payloads.append(payload)
         else:
             raise ValueError(f"unknown symbol kind {kind!r}")
         if seen:
@@ -179,36 +185,43 @@ def decode(
     present = [i for i, p in enumerate(natives) if p is not None]
     ab = np.zeros((n, k + n), dtype=np.uint8)
     ab[:, :k] = coeffs.take(missing + present, axis=0).take(coded_cols, axis=1).T
-    np.fill_diagonal(ab[:, k:], 1)
+    ab.reshape(-1)[k :: k + n + 1] = 1  # I_n: entry (i, k + i)
 
     # Gauss-Jordan with positional pivoting (first nonzero entry wins; the
-    # field has no magnitude so there is nothing numeric to prefer). At full
-    # rank every column finds a pivot, so unknown c ends up solved in row c.
-    # One product per pivot p: row i gains (ab[i, col] / p) times the pivot
-    # row, and since a*x + b*x = (a + b)*x, the pivot row gaining (1 + 1/p)
-    # times itself is its scale by 1/p. A nonzero factor is one field row
-    # operation: the pivot row's when p != 1, each other row's when it has a
-    # nonzero entry in the pivot column.
+    # field has no magnitude so there is nothing numeric to prefer): the
+    # entry in the pivot row is tested first and the rows below are searched
+    # only when it is zero. At full rank every column finds a pivot, so
+    # unknown c ends up solved in row c. One product per pivot: row i gains
+    # (ab[i, col] / p) times the pivot row, and since a*x + b*x = (a + b)*x,
+    # the pivot row gaining (1 + 1/p) times itself is its scale by 1/p. Each
+    # pivot's factors are kept in one row of ``factors``; a nonzero factor is
+    # one field row operation, the pivot row's when p != 1, each other row's
+    # when it has a nonzero entry in the pivot column. The ``take`` indices
+    # are field elements, in range by construction, so "clip" checks nothing.
+    mul, inverse = gf256.MUL, gf256.INV_LIST
+    factors = np.zeros((m, n), dtype=np.uint8)
     row = 0
     for col in range(m):
-        pivot = next((i for i in range(row, n) if ab[i, col]), None)
-        if pivot is None:
-            continue
-        if pivot != row:
+        column = ab[:, col]
+        if not column[row]:
+            below = np.flatnonzero(column[row:])
+            if not len(below):
+                continue
+            pivot = row + int(below[0])
             ab[[row, pivot]] = ab[[pivot, row]]
-        inv = gf256.INV[ab[row, col]]
-        factors = gf256.MUL[inv, ab[:, col]]
-        factors[row] = 1 ^ inv
-        ab ^= gf256.MUL[factors].take(ab[row], axis=1)
-        stats.elimination_steps += int(np.count_nonzero(factors))
+        inv = inverse[column[row]]
+        f = mul[inv].take(column, out=factors[col], mode="clip")
+        f[row] = 1 ^ inv
+        ab ^= mul.take(f, axis=0, mode="clip").take(ab[row], axis=1, mode="clip")
         row += 1
+    stats.elimination_steps += int(np.count_nonzero(factors))
 
     if row < m:
         raise SingularSystemError(
             f"singular system: rank {row} < {m} unknowns from {n} coded symbols"
         )
 
-    payloads = _payload_matrix([natives[i] for i in present] + [coded[j] for j in coded_cols])
+    payloads = _payload_matrix([natives[i] for i in present] + coded_payloads)
     for native_idx, payload in zip(missing, gf256.matmul(ab[:m, m:], payloads)):
         natives[native_idx] = payload.tobytes()
     return Generation(symbols=tuple(natives), generation_id=received.generation_id)

@@ -6,9 +6,10 @@ inversion go through log/exp tables built with generator 0x03; 0x02 is not
 primitive under 0x11B (its order is 51), so the generator choice matters.
 
 A full 256x256 product table (``MUL``) is also exported. Payload math goes
-through ``matmul``, the field's matrix product: byte gathers from ``MUL`` rows,
-or for long payloads nibble-row gathers (Plank, Greenan and Miller, "Screaming
-Fast Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013).
+through ``matmul``, the field's matrix product: byte gathers from ``MUL`` by
+flat index for short payloads or from its rows, and nibble-row gathers for
+long payloads (Plank, Greenan and Miller, "Screaming Fast Galois Field
+Arithmetic Using Intel SIMD Instructions", FAST 2013).
 
 All tables are built once at import and never mutated afterwards, so every
 function here is safe for unrestricted concurrent use.
@@ -44,12 +45,14 @@ EXP, LOG = _build_tables()
 # MUL[a, b] = a * b over the field; row/column 0 are all zero.
 MUL = np.zeros((256, 256), dtype=np.uint8)
 MUL[1:, 1:] = EXP[LOG[1:, None] + LOG[None, 1:]]
+MUL_FLAT = MUL.reshape(-1)  # MUL_FLAT[a * 256 + b] = a * b
 
 NIBBLE_ROWS = MUL[np.r_[0:16, 0:256:16]]  # [v, c] = c * v, [16 + v, c] = c * (v << 4)
 
 # INV[a] = a^-1 for a != 0; INV[0] is 0 and must not be consumed.
 INV = np.zeros(256, dtype=np.uint8)
 INV[1:] = EXP[255 - LOG[1:]]
+INV_LIST = INV.tolist()  # the same as Python ints, for scalar lookups
 
 
 def mul(a: int, b: int) -> int:
@@ -71,16 +74,25 @@ def inv(a: int) -> int:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Field product of uint8 (n, k) and (k, L) matrices as a new uint8 (n, L) array.
 
-    At L < 256 or n < 8: one byte gather per (row, coefficient, byte) from the
+    At L <= 16: one byte gather per (coefficient, row, byte) from the flat
+    table, at index a[i, p] * 256 + b[p, j], XOR-reduced over the leading
+    coefficient axis. This moves n * k * L bytes where the byte gather below
+    first copies n * k whole 256-byte MUL rows; it measured 1.1-1.25x the byte
+    gather at L = 8 (every decode product at 8-byte payloads), 1.05x at 16,
+    about 1.0x at 24 and 0.85-0.9x at 32, at n = 4 to 28 and k = 20 to 33.
+    Else, at L < 256 or n < 8: one byte gather per (row, coefficient, byte) from the
     rows MUL[a[i, p]]. Otherwise a table holds 32 rows per coefficient column p,
     a[:, p] * v and a[:, p] * (v << 4) for v < 16, padded to a fast ``take``
     chunk (16, 32 or 8j bytes); one row is gathered per (p, byte, nibble), and
     the 2k rows are XOR-reduced as uint64 words, 256 bytes of ``b`` at a time.
     The nibble path measured 1.0x the byte gather at n = 7, 1.05-1.4x at n = 8;
     at n = 18 it wins from L = 96, but 256 keeps every 8-byte-payload product
-    (8 to 128 bytes wide, by the generations stacked) on the byte gather.
+    (8 to 128 bytes wide, by the generations stacked) off it.
     """
     (n, k), length = a.shape, b.shape[1]
+    if length <= 16:
+        products = MUL_FLAT.take((a.T.astype(np.intp) << 8)[:, :, None] | b[:, None, :])
+        return np.bitwise_xor.reduce(products, axis=0)  # (k, n, L) -> (n, L)
     if length < 256 or n < 8:
         rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
         products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)

@@ -153,10 +153,12 @@ def run(cfg: SimConfig) -> SimReport:
             for b, (i, row) in enumerate(zip(block, alive[block].tolist())):
                 cut = itemgetter(slice(b * length, (b + 1) * length))
                 sent = tuple(map(cut, stacked))
-                survivors = compress(range(k), row), compress(sent, row)
+                # tuple.__new__ builds each ReceivedSymbol without a Python-level call
+                natives_in = zip(repeat("native"), compress(range(k), row), compress(sent, row))
+                coded_in = zip(repeat("coded"), range(r), map(cut, coded))
                 entries = (
-                    *map(ReceivedSymbol, repeat("native"), *survivors),
-                    *map(ReceivedSymbol, repeat("coded"), range(len(coded)), map(cut, coded)),
+                    *map(tuple.__new__, repeat(ReceivedSymbol), natives_in),
+                    *map(tuple.__new__, repeat(ReceivedSymbol), coded_in),
                 )
                 try:
                     out = decode(ReceivedGeneration(entries, first + i), coeffs, k)

@@ -134,11 +134,12 @@ def matmul_ref(a, b):
     return np.bitwise_xor.reduce(REF_MUL[a[:, :, None], b[None, :, :]], axis=1)
 
 
-@pytest.mark.parametrize("length", [255, 256, 257, 513, 1024])
-@pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize("length", [1, 8, 32, 33, 64, 255, 256, 257, 513, 1024])
+@pytest.mark.parametrize("n", [0, 7, 8, 9, 16, 17, 32, 33])
 def test_matmul_both_paths_match_the_tabulated_oracle(n, length):
-    # n = 7 and L = 255 stay on the byte gather; the rest take the nibble path,
-    # padded to 16, 32 and 40 bytes, with a ragged last block at 257 and 513
+    # L = 1 and 8 take the flat-table gather; n = 0 and 7, or L = 32 to 255, the
+    # byte gather; the rest the nibble path, padded to 16, 32 and 40 bytes, with
+    # a ragged last block at 257 and 513
     for k in (1, 30):
         a, b = pair(n, k, length, seed=n * length + k)
         assert np.array_equal(gf256.matmul(a, b), matmul_ref(a, b))
