@@ -6,15 +6,11 @@ combination of the K natives defined by one column of a K x R coefficient
 array; the natives themselves are transmitted unchanged. Decoding recovers
 the K natives from any rank-K subset of received symbols, solving only for
 the missing natives: Gauss-Jordan elimination runs on the coefficients
-alone, then the payload bytes are multiplied once by ``gf256.matmul``, the
-kernel that also encodes. Each pivot costs a fixed handful of numpy calls:
-a scalar test of the entry in the pivot row (the rows below are searched
-only when it is zero), one gather of the pivot column's factors into a
-preallocated block, and one two-step table gather that updates every row,
-the pivot row's scale folded in. Row operations are counted once per
-decode, from that block. Natives that survived are emitted as-is.
-``encode`` and ``decode`` share one input check, and ``decode`` checks each
-entry's kind, index and uniqueness in the walk that sorts them.
+alone, a fixed handful of numpy calls per pivot with the pivot row's scale
+folded into the update, then the payload bytes are multiplied once by
+``gf256.matmul``, the kernel that also encodes. Natives that survived are
+emitted as-is. ``encode`` and ``decode`` share one input check, and ``decode``
+checks each entry's kind, index and uniqueness in the walk that sorts them.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any

@@ -45,6 +45,7 @@ def snap(x: float) -> float:
 
 def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer, not a bool."""
+    # type() first: plain ints pay least
     return type(value) is int or not isinstance(value, bool) and hasattr(value, "__index__")
 
 

@@ -74,17 +74,16 @@ def inv(a: int) -> int:
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Field product of uint8 (n, k) and (k, L) matrices as a new uint8 (n, L) array.
 
-    At L <= 16: one byte gather per (coefficient, row, byte) from the flat
-    table, at index a[i, p] * 256 + b[p, j], XOR-reduced over the leading
-    coefficient axis. This moves n * k * L bytes where the byte gather below
-    first copies n * k whole 256-byte MUL rows; it measured 1.1-1.25x the byte
-    gather at L = 8 (every decode product at 8-byte payloads), 1.05x at 16,
-    about 1.0x at 24 and 0.85-0.9x at 32, at n = 4 to 28 and k = 20 to 33.
-    Else, at L < 256 or n < 8: one byte gather per (row, coefficient, byte) from the
-    rows MUL[a[i, p]]. Otherwise a table holds 32 rows per coefficient column p,
-    a[:, p] * v and a[:, p] * (v << 4) for v < 16, padded to a fast ``take``
-    chunk (16, 32 or 8j bytes); one row is gathered per (p, byte, nibble), and
-    the 2k rows are XOR-reduced as uint64 words, 256 bytes of ``b`` at a time.
+    At L <= 16: one byte gather per (coefficient, row, byte) from MUL_FLAT at
+    a[i, p] * 256 + b[p, j], XOR-reduced over the coefficients, not n * k whole
+    MUL rows first; at n = 4 to 28, k = 20 to 33 it measured 1.1-1.25x the row
+    gather at L = 8 (every 8-byte decode product), 1.05x at 16, 1.0x at 24 and
+    0.85-0.9x at 32. Else, at L < 256 or n < 8: one byte gather per (row,
+    coefficient, byte) from the rows MUL[a[i, p]]. Otherwise a table holds 32
+    rows per coefficient column p, a[:, p] * v and a[:, p] * (v << 4) for
+    v < 16, padded to a fast ``take`` chunk (16, 32 or 8j bytes); one row is
+    gathered per (p, byte, nibble), and the 2k rows are XOR-reduced as uint64
+    words, 256 bytes of ``b`` at a time.
     The nibble path measured 1.0x the byte gather at n = 7, 1.05-1.4x at n = 8;
     at n = 18 it wins from L = 96, but 256 keeps every 8-byte-payload product
     (8 to 128 bytes wide, by the generations stacked) off it.

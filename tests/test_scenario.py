@@ -332,10 +332,8 @@ def test_sweep_csv_round_trip(tmp_path):
 def test_sweep_csv_of_numpy_values_reads_back(tmp_path):
     # an R computed with numpy is still an integer column: "3", never "3.0"
     rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
-    as_numpy = [
-        SweepRow(*(np.int64(v) if type(v) is int else np.float64(v) for v in dataclasses.astuple(r)))
-        for r in rows
-    ]
+    to_numpy = {int: np.int64, float: np.float64}
+    as_numpy = [SweepRow(*(to_numpy[type(v)](v) for v in dataclasses.astuple(r))) for r in rows]
     write_sweep_csv(rows, tmp_path / "python.csv")
     write_sweep_csv(as_numpy, tmp_path / "numpy.csv")
     assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
