@@ -14,7 +14,15 @@ checks each entry's kind, index and uniqueness in the walk that sorts them.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
-number of generations independently.
+number of generations independently. ``row_reduce`` turns it, once, into the
+equivalent array whose transpose is in reduced row echelon form; its coded
+payloads recombine the original ones invertibly, so every erasure set keeps
+its rank. ``row_reduce`` and ``decode`` share one elimination routine, which
+replays a leading run of unit columns as a single row permutation before its
+per-pivot loop. A unit column costs the loop a row swap and no row operation,
+so the replay changes no pivot, factor or step count; under the echelon form
+every missing native that is a pivot column is such a column, and the loop
+runs only over the others.
 """
 
 from __future__ import annotations
@@ -103,6 +111,88 @@ def _payload_matrix(payloads) -> np.ndarray:
     return np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), -1)
 
 
+def _gauss_jordan(ab: np.ndarray, m: int) -> tuple[int, int]:
+    """Row-reduce the first m columns of ``ab`` in place; return (rank, row operations).
+
+    Positional pivoting: the first nonzero entry wins, since the field has no
+    magnitude and so nothing numeric to prefer. The entry in the pivot row is
+    tested first and the rows below are searched only when it is zero. At
+    full rank every column finds a pivot, so column c ends up solved in row c.
+    One product per pivot: row i gains (ab[i, col] / p) times the pivot row,
+    and since a*x + b*x = (a + b)*x, the pivot row gaining (1 + 1/p) times
+    itself is its scale by 1/p. Each pivot's factors are kept in one row of
+    an (m, n) block, counted once at the end; a nonzero factor is one field row
+    operation, the pivot row's when p != 1, each other row's when it has a
+    nonzero entry in the pivot column. The ``take`` indices are field
+    elements, in range by construction, so "clip" checks nothing.
+
+    A leading run of unit columns (a single nonzero entry, 1) is replayed
+    first as one row permutation: on such a column the loop only swaps its 1
+    into the pivot row, and its factors are all zero. The replay stops at the
+    first column whose 1 sits above the pivot row, which the loop skips.
+    """
+    n = len(ab)
+    row = 0
+    counts = np.count_nonzero(ab[:, :m], axis=0)
+    lead = 0
+    while lead < m and counts[lead] == 1:
+        lead += 1
+    if lead:
+        at = ab[:, :lead].argmax(axis=0).tolist()  # the row of each unit column's entry
+        ones = ab[at, range(lead)].tolist()
+        order, where = list(range(n)), list(range(n))  # position -> row, row -> position
+        for q, one in zip(at, ones):
+            p = where[q]
+            if one != 1 or p < row:
+                break
+            order[row], order[p] = order[p], order[row]
+            where[order[row]], where[order[p]] = row, p
+            row += 1
+        if row:
+            ab[:] = ab[order]
+
+    mul, inverse = gf256.MUL, gf256.INV_LIST
+    factors = np.zeros((m, n), dtype=np.uint8)
+    for col in range(row, m):
+        if row == n:
+            break
+        column = ab[:, col]
+        if not column[row]:
+            below = np.flatnonzero(column[row:])
+            if not len(below):
+                continue
+            pivot = row + int(below[0])
+            ab[[row, pivot]] = ab[[pivot, row]]
+        inv = inverse[column[row]]
+        f = mul[inv].take(column, out=factors[col], mode="clip")
+        f[row] = 1 ^ inv
+        ab ^= mul.take(f, axis=0, mode="clip").take(ab[row], axis=1, mode="clip")
+        row += 1
+    return row, int(np.count_nonzero(factors))
+
+
+def row_reduce(coeffs: np.ndarray, stats: DecodeStats | None = None) -> np.ndarray:
+    """The read-only (K, R) array whose transpose is the reduced row echelon form of C.T.
+
+    Coded payload j of the result is an invertible recombination of C's coded
+    payloads, so any set of missing natives has the same rank under both, and
+    a generation encoded and decoded with either gives the same outcome and
+    the same natives. Under the echelon form, a missing native that is a
+    pivot column costs its decode a row swap and no elimination. The row
+    operations of the reduction itself are added to ``stats`` when given.
+    """
+    if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2 or coeffs.dtype != np.uint8:
+        raise ValueError("coefficients must be a 2-dimensional uint8 array")
+    k, r = coeffs.shape
+    ab = coeffs.T.copy()
+    _, steps = _gauss_jordan(ab, k)
+    if stats is not None:
+        stats.elimination_steps += steps
+    reduced = np.ascontiguousarray(ab.T)
+    reduced.flags.writeable = False
+    return reduced
+
+
 def encode(gen: Generation, coeffs: np.ndarray) -> tuple[bytes, ...]:
     """The R coded payloads of a generation; its natives are sent unchanged.
 
@@ -183,34 +273,8 @@ def decode(
     ab[:, :k] = coeffs.take(missing + present, axis=0).take(coded_cols, axis=1).T
     ab.reshape(-1)[k :: k + n + 1] = 1  # I_n: entry (i, k + i)
 
-    # Gauss-Jordan with positional pivoting (first nonzero entry wins; the
-    # field has no magnitude so there is nothing numeric to prefer): the
-    # entry in the pivot row is tested first and the rows below are searched
-    # only when it is zero. At full rank every column finds a pivot, so
-    # unknown c ends up solved in row c. One product per pivot: row i gains
-    # (ab[i, col] / p) times the pivot row, and since a*x + b*x = (a + b)*x,
-    # the pivot row gaining (1 + 1/p) times itself is its scale by 1/p. Each
-    # pivot's factors are kept in one row of ``factors``; a nonzero factor is
-    # one field row operation, the pivot row's when p != 1, each other row's
-    # when it has a nonzero entry in the pivot column. The ``take`` indices
-    # are field elements, in range by construction, so "clip" checks nothing.
-    mul, inverse = gf256.MUL, gf256.INV_LIST
-    factors = np.zeros((m, n), dtype=np.uint8)
-    row = 0
-    for col in range(m):
-        column = ab[:, col]
-        if not column[row]:
-            below = np.flatnonzero(column[row:])
-            if not len(below):
-                continue
-            pivot = row + int(below[0])
-            ab[[row, pivot]] = ab[[pivot, row]]
-        inv = inverse[column[row]]
-        f = mul[inv].take(column, out=factors[col], mode="clip")
-        f[row] = 1 ^ inv
-        ab ^= mul.take(f, axis=0, mode="clip").take(ab[row], axis=1, mode="clip")
-        row += 1
-    stats.elimination_steps += int(np.count_nonzero(factors))
+    row, steps = _gauss_jordan(ab, m)
+    stats.elimination_steps += steps
 
     if row < m:
         raise SingularSystemError(

@@ -22,11 +22,20 @@ uniforms or the (G, K*s) flip uniforms and (G, K*s) correction keys. Seeds
 are below 2**64, so no two (seed, distance, chunk) keys share a stream.
 
 A generation gets its surviving natives and all R coded payloads, so one
-with fewer than K is counted insufficient from the survivor mask alone and
-neither encoded nor decoded. The others are encoded in blocks, one
-``Generation`` whose payload i stacks payload i of up to 256 // L of them (at
-least one), and decoded one by one. The receive buffer is unbounded; the
-symbols received per generation are only reported, as a histogram.
+with fewer than K is counted insufficient from the survivor mask alone, and
+one that lost no native is counted decoded from it; neither is encoded or
+decoded. The others are encoded in blocks, one ``Generation`` whose payload i
+stacks payload i of up to 256 // L of them (at least one), and decoded one by
+one. The receive buffer is unbounded; the symbols received per generation are
+only reported, as a histogram.
+
+Before its first encode a run row-reduces the coefficients it drew, once
+(``codec.row_reduce``), and encodes and decodes with that echelon form E.
+The draw and its stream are unchanged. E.T is T C.T for an invertible T, so
+for every set M of lost natives rank(E[M]) = rank(C[M]): each generation is
+decodable, insufficient or singular, with the same rank, exactly as under C,
+and a full-rank system has one solution, the natives sent. Under E a lost
+native that is a pivot column costs its decode no elimination.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .codec import (
     decode,
     encode,
     make_coefficients,
+    row_reduce,
 )
 from .fec import ERROR_MODES, check_count, check_probability, check_seed, snap
 from .planner import LinkParams, LinkPlan
@@ -125,7 +135,7 @@ def run(cfg: SimConfig) -> SimReport:
     n, length = int(cfg.generations), int(cfg.payload_len)
     seed, distance = int(cfg.rng_seed), int(cfg.distance_index)
     streams = (np.random.SeedSequence(seed, spawn_key=(distance, key)) for key in count())
-    coeffs = make_coefficients(k, r, seed=next(streams))
+    drawn, coeffs = make_coefficients(k, r, seed=next(streams)), None
     per_block = max(1, BLOCK_BYTES // length)
     report = SimReport(sent_generations=n)
     histogram = report.received_histogram
@@ -140,11 +150,16 @@ def run(cfg: SimConfig) -> SimReport:
             alive = corrupt_bits(
                 g, k, fec.s, fec.bit_error_rate, cfg.plan.fec.correctable_bits, fec.code_rate, rng
             )
-        received = np.count_nonzero(alive, axis=1) + r  # every coded payload arrives
-        for total in received.tolist():
+        lost = k - np.count_nonzero(alive, axis=1)
+        for total in (k + r - lost).tolist():  # every coded payload arrives
             histogram[total] = histogram.get(total, 0) + 1
-        kept = np.flatnonzero(received >= k)  # the rest can neither decode nor need encoding
-        report.insufficient_failures += g - len(kept)
+        # the rest lost more than R natives and cannot decode, or lost none and need not
+        kept = np.flatnonzero((lost > 0) & (lost <= r))
+        intact = int(np.count_nonzero(lost == 0))
+        report.decoded_generations += intact
+        report.insufficient_failures += g - intact - len(kept)
+        if len(kept) and coeffs is None:
+            coeffs = row_reduce(drawn)
 
         for b0 in range(0, len(kept), per_block):
             block = kept[b0 : b0 + per_block].tolist()

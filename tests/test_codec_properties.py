@@ -6,12 +6,15 @@ Gauss-Jordan with the decoder's pivoting to give the rank (a decode must
 fail as singular below full rank) and the field row operations counted.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolane import codec
 from twolane.codec import (
+    DecodeError,
     DecodeStats,
     Generation,
     InsufficientSymbolsError,
@@ -117,6 +120,9 @@ def test_decode_elimination_steps_match_scalar_reference(case, data):
     if data.draw(st.integers(0, 4)) == 0:
         # about one case in five: sparse coefficients make singular systems common
         coeffs = np.where(coeffs > 3, 0, coeffs).astype(np.uint8)
+    if data.draw(st.integers(0, 2)) == 0:
+        # about one case in three: echelon coefficients, whose pivot columns decode replays
+        coeffs = codec.row_reduce(coeffs)
     e = data.draw(st.integers(0, min(k, r)))
     erased = data.draw(st.sets(st.integers(0, k - 1), min_size=e, max_size=e))
     entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in erased]
@@ -136,3 +142,41 @@ def test_decode_elimination_steps_match_scalar_reference(case, data):
         assert rank == len(missing)
         assert out.symbols == gen.symbols
     assert stats.elimination_steps == steps
+
+
+def outcome(coeffs, gen, erased) -> tuple:
+    """What decoding gives when ``erased`` natives are lost: bytes or the error."""
+    k = len(gen.symbols)
+    entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in erased]
+    entries += [ReceivedSymbol("coded", j, p) for j, p in enumerate(codec.encode(gen, coeffs))]
+    try:
+        return ("decoded", codec.decode(ReceivedGeneration(entries=tuple(entries)), coeffs, k))
+    except DecodeError as exc:
+        return (type(exc), str(exc))
+
+
+@PROPERTY
+@given(
+    st.one_of(
+        generations(max_k=7, max_r=8, max_len=3),
+        generations(max_k=7, max_r=8, max_len=3, alphabet=st.sampled_from((0, 0, 0, 1, 2))),
+    )
+)
+def test_row_reduce_gives_an_echelon_form_that_decodes_alike(case):
+    gen, coeffs = case
+    k, r = coeffs.shape
+    reduced = codec.row_reduce(coeffs)
+    assert reduced.shape == (k, r) and reduced.dtype == np.uint8
+    assert not reduced.flags.writeable
+    # reduced.T is in reduced row echelon form: each row's leading entry is 1,
+    # strictly right of the row above's, alone in its column; zero rows last
+    pivots = [int(np.flatnonzero(row)[0]) for row in reduced.T if row.any()]
+    assert not reduced.T[len(pivots) :].any()
+    assert pivots == sorted(set(pivots))
+    for i, col in enumerate(pivots):
+        assert reduced[col].tolist() == [int(j == i) for j in range(r)]
+    assert len(pivots) == elimination_ref(coeffs.T.tolist())[0]
+    assert np.array_equal(codec.row_reduce(reduced), reduced)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(k), e) for e in range(k + 1))
+    for erased in map(set, subsets):
+        assert outcome(reduced, gen, erased) == outcome(coeffs, gen, erased)

@@ -278,18 +278,24 @@ def test_check_run_args_rejects_a_seed_past_64_bits():
 
 
 def stream_heads(monkeypatch, cfg) -> list[bytes]:
-    """The bytes each stream of a run starts with: the coefficients, then the
-    natives of the first generation of every chunk that gets encoded."""
+    """The bytes each stream of a run starts with: the coefficients as drawn
+    (a run encodes with their echelon form, which at R = K is the identity
+    whatever the seed), then the natives of the first generation of every
+    chunk that gets encoded."""
     heads = []
 
-    def spy(gen, coeffs):
-        if not heads:
-            heads.append(coeffs.tobytes())
+    def draw_spy(k, r, seed):
+        coeffs = codec.make_coefficients(k, r, seed)
+        heads.append(coeffs.tobytes())
+        return coeffs
+
+    def encode_spy(gen, coeffs):
         if gen.generation_id % sim.CHUNK == 0:
             heads.append(b"".join(p[: cfg.payload_len] for p in gen.symbols))
         return codec.encode(gen, coeffs)
 
-    monkeypatch.setattr(sim, "encode", spy)
+    monkeypatch.setattr(sim, "make_coefficients", draw_spy)
+    monkeypatch.setattr(sim, "encode", encode_spy)
     sim.run(cfg)
     return heads
 
@@ -323,9 +329,10 @@ def test_large_seed_does_not_alias_a_small_one(monkeypatch):
 # ------------------------------------------------------------ undecodable skip
 
 
-@pytest.mark.parametrize("payload_len", [8, 1024])
-def test_run_codes_only_generations_with_k_symbols(monkeypatch, payload_len):
-    cfg = dataclasses.replace(config(generations=40, seed=23), payload_len=payload_len)
+# At BER 0.2 (R = 18) no generation of the run loses nothing; at 0.1 (R = 1) half do.
+@pytest.mark.parametrize("payload_len, ber", [(8, 0.2), (1024, 0.2), (8, 0.1)])
+def test_run_codes_only_generations_with_k_symbols(monkeypatch, payload_len, ber):
+    cfg = dataclasses.replace(config(ber=ber, generations=40, seed=23), payload_len=payload_len)
     r = cfg.plan.redundancy
     masks, blocks, decoded = [], [], []
     real_erase, real_encode, real_decode = sim.erase_symbols, sim.encode, sim.decode
@@ -349,12 +356,16 @@ def test_run_codes_only_generations_with_k_symbols(monkeypatch, payload_len):
     monkeypatch.setattr(sim, "decode", decode_spy)
     report = sim.run(cfg)
 
-    received = (np.concatenate(masks).sum(axis=1) + r).tolist()
-    enough = [g for g, count in enumerate(received) if count >= 30]
-    assert [gid for gid, _, _ in decoded] == enough
-    assert all(count >= 30 for _, count, _ in decoded)
-    assert report.insufficient_failures == 40 - len(enough) > 0
-    assert report.received_histogram == dict(Counter(received))
+    # coded and decoded: at least K symbols and at least one native lost
+    lost = (30 - np.concatenate(masks).sum(axis=1)).tolist()
+    coded = [g for g, n in enumerate(lost) if 0 < n <= r]
+    intact = [g for g, n in enumerate(lost) if n == 0]
+    assert [gid for gid, _, _ in decoded] == coded
+    assert all(30 <= count < 30 + r for _, count, _ in decoded)
+    assert report.decoded_generations == len(coded) + len(intact)
+    assert report.insufficient_failures == 40 - len(coded) - len(intact) > 0
+    assert (len(intact) > 0) == (ber < 0.2)
+    assert report.received_histogram == dict(Counter(30 + r - n for n in lost))
     # the encode blocks hold exactly the decoded generations, in order: slot b of
     # a block carries the coded payloads that generation's decode received
     at = 0
