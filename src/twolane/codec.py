@@ -91,6 +91,11 @@ class DecodeStats:
     elimination_steps: int = 0
 
 
+def _check_coefficients(coeffs) -> None:
+    if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2 or coeffs.dtype != np.uint8:
+        raise ValueError("coefficients must be a 2-dimensional uint8 array")
+
+
 def _check_inputs(payloads, coeffs: np.ndarray, k: int) -> None:
     """Shared by encode and decode: K >= 1, equal payload lengths >= 1, (K, R) uint8."""
     if k < 1:
@@ -100,8 +105,7 @@ def _check_inputs(payloads, coeffs: np.ndarray, k: int) -> None:
         raise ValueError("payloads must be at least one byte long")
     if len(set(map(len, payloads))) > 1:
         raise ValueError("all payloads in a generation must have equal length")
-    if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2 or coeffs.dtype != np.uint8:
-        raise ValueError("coefficients must be a 2-dimensional uint8 array")
+    _check_coefficients(coeffs)
     if coeffs.shape[0] != k:
         raise ValueError(f"coefficient matrix has {coeffs.shape[0]} rows, expected {k}")
 
@@ -126,30 +130,29 @@ def _gauss_jordan(ab: np.ndarray, m: int) -> tuple[int, int]:
     nonzero entry in the pivot column. The ``take`` indices are field
     elements, in range by construction, so "clip" checks nothing.
 
-    A leading run of unit columns (a single nonzero entry, 1) is replayed
-    first as one row permutation: on such a column the loop only swaps its 1
-    into the pivot row, and its factors are all zero. The replay stops at the
-    first column whose 1 sits above the pivot row, which the loop skips.
+    A leading run of unit columns (one entry 1, the rest 0: the only columns
+    whose entries sum to 1 over the integers) is replayed first as one row
+    permutation: on such a column the loop only swaps its 1 into the pivot
+    row, and its factors are all zero. The replay stops at the first column
+    whose 1 sits above the pivot row, which the loop skips.
     """
     n = len(ab)
     row = 0
-    counts = np.count_nonzero(ab[:, :m], axis=0)
+    sums = ab[:, :m].sum(axis=0, dtype=np.intp).tolist()  # 1 for a unit column only
     lead = 0
-    while lead < m and counts[lead] == 1:
+    while lead < m and sums[lead] == 1:
         lead += 1
     if lead:
-        at = ab[:, :lead].argmax(axis=0).tolist()  # the row of each unit column's entry
-        ones = ab[at, range(lead)].tolist()
         order, where = list(range(n)), list(range(n))  # position -> row, row -> position
-        for q, one in zip(at, ones):
+        for q in ab[:, :lead].argmax(axis=0).tolist():  # the row of each column's 1
             p = where[q]
-            if one != 1 or p < row:
+            if p < row:
                 break
             order[row], order[p] = order[p], order[row]
             where[order[row]], where[order[p]] = row, p
             row += 1
         if row:
-            ab[:] = ab[order]
+            ab[:] = ab.take(order, axis=0)
 
     mul, inverse = gf256.MUL, gf256.INV_LIST
     factors = np.zeros((m, n), dtype=np.uint8)
@@ -171,23 +174,18 @@ def _gauss_jordan(ab: np.ndarray, m: int) -> tuple[int, int]:
     return row, int(np.count_nonzero(factors))
 
 
-def row_reduce(coeffs: np.ndarray, stats: DecodeStats | None = None) -> np.ndarray:
+def row_reduce(coeffs: np.ndarray) -> np.ndarray:
     """The read-only (K, R) array whose transpose is the reduced row echelon form of C.T.
 
     Coded payload j of the result is an invertible recombination of C's coded
     payloads, so any set of missing natives has the same rank under both, and
     a generation encoded and decoded with either gives the same outcome and
     the same natives. Under the echelon form, a missing native that is a
-    pivot column costs its decode a row swap and no elimination. The row
-    operations of the reduction itself are added to ``stats`` when given.
+    pivot column costs its decode a row swap and no elimination.
     """
-    if not isinstance(coeffs, np.ndarray) or coeffs.ndim != 2 or coeffs.dtype != np.uint8:
-        raise ValueError("coefficients must be a 2-dimensional uint8 array")
-    k, r = coeffs.shape
+    _check_coefficients(coeffs)
     ab = coeffs.T.copy()
-    _, steps = _gauss_jordan(ab, k)
-    if stats is not None:
-        stats.elimination_steps += steps
+    _gauss_jordan(ab, coeffs.shape[0])
     reduced = np.ascontiguousarray(ab.T)
     reduced.flags.writeable = False
     return reduced

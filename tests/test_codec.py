@@ -137,6 +137,8 @@ def test_encode_and_decode_reject_malformed_coefficients(coeffs):
         codec.encode(gen, coeffs)
     with pytest.raises(ValueError, match="2-dimensional uint8"):
         codec.decode(received, coeffs, 2)
+    with pytest.raises(ValueError, match="2-dimensional uint8"):
+        codec.row_reduce(coeffs)
 
 
 # --------------------------------------------------------------------- decode
