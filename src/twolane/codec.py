@@ -157,7 +157,7 @@ def _gauss_jordan(ab: np.ndarray, m: int) -> tuple[int, int]:
     mul, inverse = gf256.MUL, gf256.INV_LIST
     factors = np.zeros((m, n), dtype=np.uint8)
     for col in range(row, m):
-        if row == n:
+        if row == n:  # every row holds a pivot: only row_reduce's wide matrices get here
             break
         column = ab[:, col]
         if not column[row]:

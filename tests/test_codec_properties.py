@@ -177,6 +177,6 @@ def test_row_reduce_gives_an_echelon_form_that_decodes_alike(case):
         assert reduced[col].tolist() == [int(j == i) for j in range(r)]
     assert len(pivots) == elimination_ref(coeffs.T.tolist())[0]
     assert np.array_equal(codec.row_reduce(reduced), reduced)
-    subsets = itertools.chain.from_iterable(itertools.combinations(range(k), e) for e in range(k + 1))
-    for erased in map(set, subsets):
+    subsets = (itertools.combinations(range(k), e) for e in range(k + 1))
+    for erased in map(set, itertools.chain.from_iterable(subsets)):
         assert outcome(reduced, gen, erased) == outcome(coeffs, gen, erased)

@@ -330,7 +330,14 @@ def test_large_seed_does_not_alias_a_small_one(monkeypatch):
 
 
 # At BER 0.2 (R = 18) no generation of the run loses nothing; at 0.1 (R = 1) half do.
-@pytest.mark.parametrize("payload_len, ber", [(8, 0.2), (1024, 0.2), (8, 0.1)])
+@pytest.mark.parametrize(
+    "payload_len, ber",
+    [
+        pytest.param(8, 0.2, id="8"),
+        pytest.param(1024, 0.2, id="1024"),
+        pytest.param(8, 0.1, id="8-ber0.1"),
+    ],
+)
 def test_run_codes_only_generations_with_k_symbols(monkeypatch, payload_len, ber):
     cfg = dataclasses.replace(config(ber=ber, generations=40, seed=23), payload_len=payload_len)
     r = cfg.plan.redundancy
