@@ -39,10 +39,10 @@ class BerTableError(ValueError):
 
 
 class BadPointError(BerTableError):
-    """Point ``index`` of the input breaks ``problem``; the message says where."""
+    """Point ``index`` of the input breaks ``problem``; the message says where, if ``at`` does."""
 
-    def __init__(self, index: int, problem: str, at: str):
-        super().__init__(f"{problem} at {at}")
+    def __init__(self, index: int, problem: str, at: str = ""):
+        super().__init__(f"{problem} at {at}" if at else problem)
         self.index, self.problem = index, problem
 
 
@@ -60,7 +60,7 @@ class BerTable:
     def __init__(self, points: list[BerPoint]):
         if not points:
             raise BerTableError("empty table")
-        groups: dict[tuple[str, str], list[BerPoint]] = {}
+        groups: dict[tuple[str, str], list[int]] = {}  # point indices per curve
         for i, p in enumerate(points):
             if not math.isfinite(p.distance_cm):
                 at = f"({p.channel}, {p.modulation}, p_e {p.bit_error_rate})"
@@ -68,15 +68,17 @@ class BerTable:
             if not 0 <= p.bit_error_rate <= 1:
                 at = f"({p.channel}, {p.modulation}, {p.distance_cm} cm)"
                 raise BadPointError(i, f"p_e {p.bit_error_rate} out of [0, 1]", at)
-            groups.setdefault((p.channel, p.modulation), []).append(p)
-        for key, rows in groups.items():
-            for a, b in zip(rows, rows[1:]):
-                if b.distance_cm - a.distance_cm <= _DISTANCE_TOL:
-                    raise BerTableError(
+            groups.setdefault((p.channel, p.modulation), []).append(i)
+        for key, indices in groups.items():
+            for i, j in zip(indices, indices[1:]):
+                a, b = points[i].distance_cm, points[j].distance_cm
+                if b - a <= _DISTANCE_TOL:
+                    raise BadPointError(
+                        j,
                         f"distances not strictly increasing by more than {_DISTANCE_TOL} cm "
-                        f"for {key}: {a.distance_cm} then {b.distance_cm}"
+                        f"for {key}: {a} then {b}",
                     )
-        self._groups = {key: tuple(rows) for key, rows in groups.items()}
+        self._groups = {key: tuple(points[i] for i in indices) for key, indices in groups.items()}
         self.points = list(points)
 
     def groups(self) -> list[tuple[str, str]]:
@@ -123,15 +125,15 @@ class BerTable:
 
 def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
+    # each nonblank row with the file line it ends on; "row N" in an error is line N
+    numbered = [(reader.line_num, row) for row in reader if row]
+    if not numbered:
         raise BerTableError(f"{source}: empty table")
-    if tuple(h.strip() for h in rows[0]) != HEADER:
-        raise BerTableError(
-            f"{source}: header must be {','.join(HEADER)}, got {','.join(rows[0])}"
-        )
+    header = numbered[0][1]
+    if tuple(h.strip() for h in header) != HEADER:
+        raise BerTableError(f"{source}: header must be {','.join(HEADER)}, got {','.join(header)}")
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in numbered[1:]:
         if len(row) != 4:
             raise BerTableError(f"{source}: row {lineno}: expected 4 fields, got {len(row)}")
         channel, modulation = row[0].strip(), row[1].strip()
@@ -141,10 +143,10 @@ def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
         except ValueError as exc:
             raise BerTableError(f"{source}: row {lineno}: {exc}") from None
         points.append(BerPoint(channel, modulation, distance, ber))
-    try:  # BerTable checks each point; point i is row i + 2
+    try:  # BerTable checks each point; point i is numbered[i + 1]
         return BerTable(points)
     except BadPointError as exc:
-        raise BerTableError(f"{source}: row {exc.index + 2}: {exc.problem}") from None
+        raise BerTableError(f"{source}: row {numbered[exc.index + 1][0]}: {exc.problem}") from None
     except BerTableError as exc:
         raise BerTableError(f"{source}: {exc}") from None
 

@@ -9,8 +9,9 @@ the missing natives: Gauss-Jordan elimination runs on the coefficients
 alone, a fixed handful of numpy calls per pivot with the pivot row's scale
 folded into the update, then the payload bytes are multiplied once by
 ``gf256.matmul``, the kernel that also encodes. Natives that survived are
-emitted as-is. ``encode`` and ``decode`` share one input check, and ``decode``
-checks each entry's kind, index and uniqueness in the walk that sorts them.
+emitted as-is; with none lost, the same steps have nothing to solve. ``encode``
+and ``decode`` share one input check, and ``decode`` checks each entry's kind,
+index and uniqueness in the walk that sorts them.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -143,13 +144,12 @@ def _gauss_jordan(ab: np.ndarray, m: int) -> tuple[int, int]:
     while lead < m and sums[lead] == 1:
         lead += 1
     if lead:
-        order, where = list(range(n)), list(range(n))  # position -> row, row -> position
+        order = list(range(n))  # position -> row
         for q in ab[:, :lead].argmax(axis=0).tolist():  # the row of each column's 1
-            p = where[q]
+            p = order.index(q)
             if p < row:
                 break
             order[row], order[p] = order[p], order[row]
-            where[order[row]], where[order[p]] = row, p
             row += 1
         if row:
             ab[:] = ab.take(order, axis=0)
@@ -212,8 +212,8 @@ def decode(
     Natives present in ``received`` are returned byte-identically; missing
     natives are solved from the received coded payloads by Gauss-Jordan
     elimination on the reduced system (one equation per coded payload, one
-    unknown per missing native). With zero missing natives no elimination
-    is performed at all.
+    unknown per missing native). With zero missing natives the elimination
+    has no column to reduce and the payload product no row.
 
     Raises ValueError when the shared input check fails or an entry is
     malformed (unknown kind, duplicate, index out of range),
@@ -221,8 +221,6 @@ def decode(
     SingularSystemError when enough symbols arrived but their implied
     coefficient rows do not reach rank ``k``.
     """
-    if stats is None:
-        stats = DecodeStats()
     entries = received.entries
     _check_inputs([e.payload for e in entries], coeffs, k)
     r = coeffs.shape[1]
@@ -255,9 +253,6 @@ def decode(
         )
 
     missing = [i for i, p in enumerate(natives) if p is None]
-    if not missing:
-        return Generation(symbols=tuple(natives), generation_id=received.generation_id)
-
     m = len(missing)
     n = len(coded_cols)  # n >= m is implied by len(entries) >= k
 
@@ -272,7 +267,8 @@ def decode(
     ab.reshape(-1)[k :: k + n + 1] = 1  # I_n: entry (i, k + i)
 
     row, steps = _gauss_jordan(ab, m)
-    stats.elimination_steps += steps
+    if stats is not None:
+        stats.elimination_steps += steps
 
     if row < m:
         raise SingularSystemError(

@@ -49,10 +49,8 @@ MUL_FLAT = MUL.reshape(-1)  # MUL_FLAT[a * 256 + b] = a * b
 
 NIBBLE_ROWS = MUL[np.r_[0:16, 0:256:16]]  # [v, c] = c * v, [16 + v, c] = c * (v << 4)
 
-# INV[a] = a^-1 for a != 0; INV[0] is 0 and must not be consumed.
-INV = np.zeros(256, dtype=np.uint8)
-INV[1:] = EXP[255 - LOG[1:]]
-INV_LIST = INV.tolist()  # the same as Python ints, for scalar lookups
+# INV_LIST[a] = a^-1 for a != 0, as Python ints; INV_LIST[0] is 0 and must not be consumed.
+INV_LIST = [0, *EXP[255 - LOG[1:]].tolist()]
 
 
 def mul(a: int, b: int) -> int:
@@ -68,7 +66,7 @@ def inv(a: int) -> int:
         raise ValueError(f"field elements must be in [0, 255], got {a!r}")
     if a == 0:
         raise ZeroDivisionError("no inverse for zero")
-    return int(INV[a])
+    return INV_LIST[a]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

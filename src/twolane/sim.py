@@ -29,7 +29,7 @@ stacks payload i of up to 256 // L of them (at least one), and decoded one by
 one. The receive buffer is unbounded; the symbols received per generation are
 only reported, as a histogram.
 
-Before its first encode a run row-reduces the coefficients it drew, once
+A run row-reduces the coefficients it draws, once, right after the draw
 (``codec.row_reduce``), and encodes and decodes with that echelon form E.
 The draw and its stream are unchanged. E.T is T C.T for an invertible T, so
 for every set M of lost natives rank(E[M]) = rank(C[M]): each generation is
@@ -61,7 +61,7 @@ from .fec import ERROR_MODES, check_count, check_probability, check_seed, snap
 from .planner import LinkParams, LinkPlan
 
 CHUNK = 16  # generations per random stream; part of the stream contract
-BLOCK_BYTES = 256  # payload bytes per native in one encode call: one MUL row
+BLOCK_BYTES = 256  # payload bytes per native in one encode call: bounds its product's memory
 
 
 def check_run_args(generations, error_mode, rng_seed=0, payload_len=1, distance_index=0) -> None:
@@ -135,7 +135,7 @@ def run(cfg: SimConfig) -> SimReport:
     n, length = int(cfg.generations), int(cfg.payload_len)
     seed, distance = int(cfg.rng_seed), int(cfg.distance_index)
     streams = (np.random.SeedSequence(seed, spawn_key=(distance, key)) for key in count())
-    drawn, coeffs = make_coefficients(k, r, seed=next(streams)), None
+    coeffs = row_reduce(make_coefficients(k, r, seed=next(streams)))
     per_block = max(1, BLOCK_BYTES // length)
     report = SimReport(sent_generations=n)
     histogram = report.received_histogram
@@ -158,8 +158,6 @@ def run(cfg: SimConfig) -> SimReport:
         intact = int(np.count_nonzero(lost == 0))
         report.decoded_generations += intact
         report.insufficient_failures += g - intact - len(kept)
-        if len(kept) and coeffs is None:
-            coeffs = row_reduce(drawn)
 
         for b0 in range(0, len(kept), per_block):
             block = kept[b0 : b0 + per_block].tolist()

@@ -71,6 +71,17 @@ def test_malformed_row_names_the_row():
         parse_ber_table(table_text(["B,16PSK,100,0.01", "B,16PSK,inf,0.02"]))
 
 
+def test_errors_name_the_file_line_past_blank_lines():
+    # header on line 1, a blank line 2, a point on line 3, a blank line 4, the bad point on 5
+    head = HEADER + "\n\nB,16PSK,200,0.01\n\n"
+    with pytest.raises(BerTableError, match="row 5: expected 4 fields"):
+        parse_ber_table(head + "B,16PSK,250\n")
+    with pytest.raises(BerTableError, match=re.escape("row 5: p_e 1.5 out of [0, 1]")):
+        parse_ber_table(head + "B,16PSK,250,1.5\n")
+    with pytest.raises(BerTableError, match="row 5: distances not strictly increasing"):
+        parse_ber_table(head + "B,16PSK,150,0.02\n")
+
+
 # unchecked, the nan point hides the 300 cm point from lookup and the inf
 # point makes every interpolation past 200 cm return the 200 cm BER
 @pytest.mark.parametrize("distances", [(200.0, math.nan, 300.0), (200.0, math.inf)])

@@ -107,6 +107,9 @@ def pair(n, k, length, seed=0):
 @given(matrix_pairs())
 @example(pair(3, 0, 5))  # inner dimension 0
 @example(pair(0, 4, 7))  # no rows: the R = 0 encode
+@example(pair(0, 48, 8))  # no rows on each path they reach: a decode that lost no native
+@example(pair(0, 48, 64))
+@example(pair(0, 48, 1024))
 @example(pair(2, 3, 0))  # no columns: a decode with no surviving natives
 @example(pair(4, 5, 1))
 @example(pair(2, 5, 300))  # wider than one 256-byte table row
