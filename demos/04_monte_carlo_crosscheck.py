@@ -62,7 +62,7 @@ print("=" * 72)
 derived = fec.derive(link.fec)
 rng = np.random.default_rng(3)
 trials = 20000
-batches = (sim.corrupt_bits(2000, 30, 8, 0.2, 29, 0.8, rng) for _ in range(trials // 2000))
+batches = (sim.corrupt_bits(2000, 30, 8, 0.2, 23, rng) for _ in range(trials // 2000))
 mean = 30 - sum(int(alive.sum()) for alive in batches) / trials
 target = 30 * derived.residual_ser
 print(f"bits flipped at p_e = 0.2, budget floor(0.8 * 29) = 23 corrected per generation")

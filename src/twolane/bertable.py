@@ -157,10 +157,12 @@ def load_ber_table(path) -> BerTable:
 
 
 def save_ber_table(table: BerTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(HEADER) + "\n")
+    """Write ``table`` in the CSV dialect ``parse_ber_table`` reads: ids quoted as needed."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(HEADER)
         for p in table.points:
-            f.write(f"{p.channel},{p.modulation},{p.distance_cm!r},{p.bit_error_rate!r}\n")
+            writer.writerow((p.channel, p.modulation, repr(p.distance_cm), repr(p.bit_error_rate)))
 
 
 # Threshold BER below which the default configuration needs no redundancy.

@@ -7,8 +7,8 @@ Subcommands:
     simulate  Monte Carlo per distance -> CSV with analytic columns
     classify  auxiliary rate in bits/s -> technology label
 
-Exit codes: 0 success, 1 invalid or unreadable input, 2 when every requested
-point is infeasible (auxiliary distance beyond the delay-matching bound).
+Exit codes: 0 success, 1 a usage error or invalid or unreadable input, 2 when
+every requested point is infeasible (aux distance past the delay-matching bound).
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def _load_inputs(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "classify":
             print(classify_aux_technology(args.rate_bps))
             return 0
@@ -124,6 +124,8 @@ def main(argv=None) -> int:
             label = classify_aux_technology(rows[0].aux_rate_bps)
             print(f"aux technology: {label}", file=sys.stderr)
         return 0
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error, which is 1 here
+        return min(exc.code, 1)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

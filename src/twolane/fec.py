@@ -100,11 +100,10 @@ def hamming_distance(params: FecParams) -> int:
 
 
 def correctable_bits(delta_min: int) -> int:
-    """Error bits correctable at a given minimum distance (never negative)."""
+    """Error bits correctable at minimum distance d: the paper's (d-2)/2 for even d and
+    (d-1)/2 for odd d, floored at 0, which is max(0, (d-1) // 2) for every integer d >= 0."""
     check_count("delta_min", delta_min, 0)
-    if delta_min % 2 == 0:
-        return max(0, (delta_min - 2) // 2)
-    return (delta_min - 1) // 2
+    return max(0, (delta_min - 1) // 2)
 
 
 def residual_ber(params: FecParams, correctable: int) -> float:

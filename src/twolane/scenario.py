@@ -123,6 +123,8 @@ class Scenario:
 
 def _parse(key: str, value: str, kind: type) -> str | float | int:
     """``value`` as text (str), a finite number (float) or a whole number (int)."""
+    if not value:
+        raise ScenarioError(f"key {key!r}: empty value")
     if kind is str:
         return value
     try:

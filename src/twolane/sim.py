@@ -8,11 +8,12 @@ plus every coded payload. Two main-lane error models:
   analytic-erasure  each native is erased i.i.d. with the plan's residual
                     symbol error probability.
   bit-level         each of the K*s bits flips i.i.d. with the raw BER; the
-                    FEC budget floor(code_rate * correctable_bits) corrects
-                    a uniformly random subset of the flips (each bit draws a
-                    key, the smallest keys win), and a symbol still holding
-                    a flip is erased. Correcting by position instead would
-                    bias the erasure count well below the analytic model.
+                    run computes the FEC budget floor(code_rate *
+                    correctable_bits) once, and ``corrupt_bits`` spends it per
+                    generation on a uniformly random subset of the flips (each
+                    bit draws a key, the smallest keys win); a symbol still
+                    holding a flip is erased. Correcting by position instead
+                    would bias the erasure count well below the analytic model.
 
 Streams: every draw of a run comes from ``SeedSequence(rng_seed)`` by spawn
 key, ``(distance_index, 0)`` for the coefficients and ``(distance_index,
@@ -108,25 +109,18 @@ def erase_symbols(g: int, k: int, p_erase: float, rng: np.random.Generator) -> n
     return rng.random((g, k)) >= p_erase
 
 
-def corrupt_bits(g, k, s, bit_error_rate, correctable, code_rate, rng) -> np.ndarray:
-    """(g, k) survivor mask: draw the (g, k*s) flip uniforms and correction keys, spend
-    the budget floor(code_rate * correctable) per row, erase each symbol still flipped."""
+def corrupt_bits(g, k, s, bit_error_rate, budget, rng) -> np.ndarray:
+    """(g, k) survivor mask: draw the (g, k*s) flip uniforms and correction keys, clear
+    per row the min(flips, budget) flipped bits with the smallest keys, and erase each
+    symbol still flipped. Uniform keys make the cleared bits a uniform subset of the flips."""
     check_probability("bit_error_rate", bit_error_rate)
     flips = rng.random((g, k * s)) < bit_error_rate
     keys = rng.random((g, k * s))
-    budget = math.floor(snap(code_rate * correctable))
-    return ~correct_flips(flips, keys, budget).reshape(g, k, s).any(axis=2)
-
-
-def correct_flips(flips: np.ndarray, keys: np.ndarray, budget: int) -> np.ndarray:
-    """Clear in place, per row, the min(flips, budget) flipped bits with the smallest keys.
-
-    Uniform keys in [0, 1) make the cleared bits a uniformly random subset of the flips."""
-    b = min(budget, flips.shape[1])
+    b = min(budget, k * s)
     if b > 0:
         ranked = np.argpartition(np.where(flips, keys, 2.0), b - 1, axis=1)[:, :b]
         np.put_along_axis(flips, ranked, False, axis=1)
-    return flips
+    return ~flips.reshape(g, k, s).any(axis=2)
 
 
 def run(cfg: SimConfig) -> SimReport:
@@ -136,6 +130,7 @@ def run(cfg: SimConfig) -> SimReport:
     seed, distance = int(cfg.rng_seed), int(cfg.distance_index)
     streams = (np.random.SeedSequence(seed, spawn_key=(distance, key)) for key in count())
     coeffs = row_reduce(make_coefficients(k, r, seed=next(streams)))
+    budget = math.floor(snap(fec.code_rate * cfg.plan.fec.correctable_bits))  # bit-level only
     per_block = max(1, BLOCK_BYTES // length)
     report = SimReport(sent_generations=n)
     histogram = report.received_histogram
@@ -147,9 +142,7 @@ def run(cfg: SimConfig) -> SimReport:
         if cfg.error_mode == "analytic-erasure":
             alive = erase_symbols(g, k, cfg.plan.fec.residual_ser, rng)
         else:
-            alive = corrupt_bits(
-                g, k, fec.s, fec.bit_error_rate, cfg.plan.fec.correctable_bits, fec.code_rate, rng
-            )
+            alive = corrupt_bits(g, k, fec.s, fec.bit_error_rate, budget, rng)
         lost = k - np.count_nonzero(alive, axis=1)
         for total in (k + r - lost).tolist():  # every coded payload arrives
             histogram[total] = histogram.get(total, 0) + 1

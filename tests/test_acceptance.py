@@ -257,7 +257,7 @@ def test_monte_carlo_bit_level_mode():
     erased = 0
     trials, batch = 100_000, 1000
     for _ in range(trials // batch):
-        erased += batch * 30 - int(sim.corrupt_bits(batch, 30, 8, 0.2, 29, 0.8, rng).sum())
+        erased += batch * 30 - int(sim.corrupt_bits(batch, 30, 8, 0.2, 23, rng).sum())
     mean = erased / trials
     assert abs(mean - target) <= 0.10 * target
 

@@ -262,3 +262,14 @@ def test_save_load_round_trip(tmp_path):
     bertable.save_ber_table(t, path)
     again = bertable.load_ber_table(path)
     assert again.points == t.points
+
+
+def test_save_load_round_trip_quotes_ids(tmp_path):
+    # an id holding the delimiter or a quote is written quoted, so the loader reads it back
+    t = parse_ber_table(
+        'channel_id,modulation,distance_cm,p_e\n"B,1",16PSK,200,0.1\n"C""2",8PSK,250,0.2\n'
+    )
+    assert [p.channel for p in t.points] == ["B,1", 'C"2']
+    path = tmp_path / "t.csv"
+    bertable.save_ber_table(t, path)
+    assert bertable.load_ber_table(path).points == t.points

@@ -191,6 +191,26 @@ def test_simulate_seed_past_64_bits_is_validation_error(workdir, capsys):
     assert "seed must be < 2**64, got 18446744073709551616" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--scenario", "scn.scn", "--generations", "abc"],
+        ["sweep"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_error_is_exit_1_not_the_infeasible_code(argv, capsys):
+    assert cli.main(argv) == 1
+    assert "usage: twolane" in capsys.readouterr().err
+
+
+def test_help_is_exit_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["simulate", "--help"]) == 0
+    assert "--generations" in capsys.readouterr().out
+
+
 def test_simulate_bit_level_mode(workdir, capsys):
     (workdir / "one.scn").write_text(
         scenario_text(d_start=650, d_stop=650, extra="ber_table = ber.csv"),

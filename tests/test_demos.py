@@ -1,8 +1,4 @@
-"""Smoke test: the walkthrough demos and the README quick start run.
-
-Demo 04 is left out: its Monte Carlo cross-check takes several seconds,
-and the acceptance and simulator tests already cover what it shows.
-"""
+"""Smoke test: the walkthrough demos and the README quick start run."""
 
 import subprocess
 import sys
@@ -13,9 +9,7 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize(
-    "demo", ["01_field_and_codec.py", "02_link_budget_chain.py", "03_distance_sweep.py"]
-)
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_exits_cleanly(demo):
     proc = subprocess.run(
         [sys.executable, str(DEMOS / demo)], capture_output=True, text=True, timeout=60

@@ -172,6 +172,14 @@ def test_parse_scenario_rejects_bad_number(old, new, message):
         parse_scenario(text, source="bad.scn")
 
 
+@pytest.mark.parametrize("key", ["output", "seed"])
+def test_parse_scenario_rejects_an_empty_value(key):
+    # an empty output once meant stdout, an empty ber_table a missing file ''
+    text = scenario_text(extra=f"{key} =").replace("seed = 7\n", "")
+    with pytest.raises(ScenarioError, match=f"^bad\\.scn: key '{key}': empty value$"):
+        parse_scenario(text, source="bad.scn")
+
+
 def test_parse_scenario_keeps_a_large_seed_exact():
     # 2**64 - 1 is not a float; read through one it would round up to 2**64
     sc = parse_scenario(scenario_text().replace("seed = 7", "seed = 18446744073709551615"))

@@ -70,41 +70,32 @@ def test_erase_symbols_binomial_mean():
 
 def test_corrupt_bits_error_free():
     rng = np.random.default_rng(2)
-    assert sim.corrupt_bits(4, 30, 8, 0.0, 29, 0.8, rng).all()
+    assert sim.corrupt_bits(4, 30, 8, 0.0, 23, rng).all()
 
 
 def test_corrupt_bits_saturated_channel():
     rng = np.random.default_rng(3)
     # all 240 bits flip; a 23-bit budget cannot clean any full symbol
-    assert not sim.corrupt_bits(4, 30, 8, 1.0, 29, 0.8, rng).any()
+    assert not sim.corrupt_bits(4, 30, 8, 1.0, 23, rng).any()
 
 
 def test_corrupt_bits_budget_covers_everything():
     rng = np.random.default_rng(4)
     # huge budget: every flip is corrected, nothing erased
-    assert sim.corrupt_bits(4, 30, 8, 0.3, 1000, 1.0, rng).all()
+    assert sim.corrupt_bits(4, 30, 8, 0.3, 1000, rng).all()
 
 
-def test_corrupt_bits_budget_snaps_float_noise():
-    rng = np.random.default_rng(6)
-    # 0.57 * 100 == 56.99999999999999; the budget is 57 and cleans all 57 flips
-    assert sim.corrupt_bits(2, 57, 1, 1.0, 100, 0.57, rng).all()
-
-
-def erased_counts(trials, k, s, ber, correctable, code_rate, rng, batch=2000):
+def erased_counts(trials, k, s, ber, budget, rng, batch=2000):
     """Erased symbols per generation over ``trials`` generations, drawn in batches."""
     return np.concatenate(
-        [
-            k - sim.corrupt_bits(batch, k, s, ber, correctable, code_rate, rng).sum(axis=1)
-            for _ in range(trials // batch)
-        ]
+        [k - sim.corrupt_bits(batch, k, s, ber, budget, rng).sum(axis=1) for _ in range(trials // batch)]
     )
 
 
 def test_corrupt_bits_mean_matches_analytic_model():
     rng = np.random.default_rng(5)
     k_ps = 30 * 0.5821232558667687
-    mean = erased_counts(20_000, 30, 8, 0.2, 29, 0.8, rng).mean()
+    mean = erased_counts(20_000, 30, 8, 0.2, 23, rng).mean()
     assert abs(mean - k_ps) <= 0.10 * k_ps
 
 
@@ -124,7 +115,7 @@ def test_corrupt_bits_mean_matches_the_uniform_subset_model():
         binom.pmf(f, n, 0.2) * (1 - math.comb(n - s, max(0, f - 23)) / math.comb(n, max(0, f - 23)))
         for f in range(n + 1)
     )
-    erased = erased_counts(20_000, k, s, 0.2, 29, 0.8, np.random.default_rng(7))
+    erased = erased_counts(20_000, k, s, 0.2, 23, np.random.default_rng(7))
     assert abs(erased.mean() - exact) <= 3 * erased.std(ddof=1) / math.sqrt(erased.size)
 
 
@@ -141,26 +132,42 @@ class Replay:
 
 
 @st.composite
-def flip_draws(draw):
-    g, k, s = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+def flip_draws(draw, s=None, unique=False):
+    g, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    s = s or draw(st.integers(1, 8))
     flips = draw(hnp.arrays(np.bool_, (g, k * s)))
-    keys = draw(hnp.arrays(np.float64, (g, k * s), elements=st.floats(0, 1, exclude_max=True)))
+    unit = st.floats(0, 1, exclude_max=True)
+    keys = draw(hnp.arrays(np.float64, (g, k * s), elements=unit, unique=unique))
     return k, s, flips, keys, draw(st.integers(0, k * s + 2))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(flip_draws())
-def test_correct_flips_clears_min_of_flips_and_budget(case):
-    k, s, flips, keys, budget = case
-    left = sim.correct_flips(flips.copy(), keys, budget)
-    assert not (left & ~flips).any()  # only flipped bits are cleared
-    cleared = (flips & ~left).sum(axis=1)
-    assert (cleared == np.minimum(flips.sum(axis=1), budget)).all()
-    # corrupt_bits draws the flip uniforms, then the keys; a symbol survives
-    # exactly when none of its bits is still flipped
+def replayed_survivors(k, s, flips, keys, budget):
+    """corrupt_bits on the given flips and keys: it draws the flip uniforms, then the keys."""
     uniforms = np.where(flips, 0.25, 0.75)
-    alive = sim.corrupt_bits(len(flips), k, s, 0.5, budget, 1.0, Replay(uniforms, keys))
-    assert (alive == ~left.reshape(len(flips), k, s).any(axis=2)).all()
+    return sim.corrupt_bits(len(flips), k, s, 0.5, budget, Replay(uniforms, keys))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_draws(unique=True))
+def test_corrupt_bits_corrects_the_flips_with_the_smallest_keys(case):
+    k, s, flips, keys, budget = case
+    expected = []
+    for flip, key in zip(flips.tolist(), keys.tolist()):
+        flipped = sorted((bit for bit in range(k * s) if flip[bit]), key=key.__getitem__)
+        left = set(flipped[budget:])
+        expected.append([left.isdisjoint(range(i * s, (i + 1) * s)) for i in range(k)])
+    assert replayed_survivors(k, s, flips, keys, budget).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flip_draws(s=1))
+def test_corrupt_bits_clears_min_of_flips_and_budget(case):
+    # at s = 1 a symbol is one bit, so the survivors are the bits left clear; keys may tie
+    k, s, flips, keys, budget = case
+    alive = replayed_survivors(k, s, flips, keys, budget)
+    assert alive[~flips].all()  # only flipped bits are cleared
+    cleared = (flips & alive).sum(axis=1)
+    assert (cleared == np.minimum(flips.sum(axis=1), budget)).all()
 
 
 # ------------------------------------------------------------------------ run
@@ -228,6 +235,25 @@ def test_run_deterministic_for_fixed_seed():
     assert a == b
     c = sim.run(config(generations=100, seed=30))
     assert a != c
+
+
+def test_run_budget_snaps_float_noise():
+    # 0.57 * 100 == 56.99999999999999; the budget is 57 and clears all 57 flips,
+    # so with R = 0 every generation decodes
+    link = LinkParams(
+        fec=FecParams(k=57, s=1, code_rate=0.57, bit_error_rate=1.0),
+        main_rate=8e11,
+        main_distance=6.5,
+        aux_distance=1.5,
+    )
+    lp = planner.plan(link)
+    lp = dataclasses.replace(
+        lp, fec=dataclasses.replace(lp.fec, correctable_bits=100), redundancy=0
+    )
+    cfg = SimConfig(link=link, plan=lp, generations=20, rng_seed=6, error_mode="bit-level")
+    report = sim.run(cfg)
+    assert report.symbol_erasure_rate == 0.0
+    assert report.decoded_generations == 20
 
 
 def test_run_bit_level_mode():
