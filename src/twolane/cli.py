@@ -87,6 +87,9 @@ def _load_inputs(args):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error, which is 1 here
+        return min(exc.code, 1)
+    try:
         if args.command == "classify":
             print(classify_aux_technology(args.rate_bps))
             return 0
@@ -124,8 +127,6 @@ def main(argv=None) -> int:
             label = classify_aux_technology(rows[0].aux_rate_bps)
             print(f"aux technology: {label}", file=sys.stderr)
         return 0
-    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error, which is 1 here
-        return min(exc.code, 1)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

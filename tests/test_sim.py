@@ -88,7 +88,10 @@ def test_corrupt_bits_budget_covers_everything():
 def erased_counts(trials, k, s, ber, budget, rng, batch=2000):
     """Erased symbols per generation over ``trials`` generations, drawn in batches."""
     return np.concatenate(
-        [k - sim.corrupt_bits(batch, k, s, ber, budget, rng).sum(axis=1) for _ in range(trials // batch)]
+        [
+            k - sim.corrupt_bits(batch, k, s, ber, budget, rng).sum(axis=1)
+            for _ in range(trials // batch)
+        ]
     )
 
 
