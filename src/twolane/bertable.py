@@ -48,10 +48,21 @@ class BadPointError(BerTableError):
 
 @dataclass(frozen=True)
 class BerPoint:
+    """One tabulated point. Its ids are one line of text without surrounding whitespace:
+    they are stripped here and a line break is rejected, so a point built in code keys
+    the same curve as the CSV row that saves and loads it."""
+
     channel: str
     modulation: str
     distance_cm: float
     bit_error_rate: float
+
+    def __post_init__(self):
+        for name in ("channel", "modulation"):
+            value = getattr(self, name).strip()
+            if "\n" in value or "\r" in value:
+                raise ValueError(f"{name} id {value!r} holds a line break")
+            object.__setattr__(self, name, value)
 
 
 class BerTable:
@@ -136,13 +147,10 @@ def parse_ber_table(text: str, source: str = "<string>") -> BerTable:
     for lineno, row in numbered[1:]:
         if len(row) != 4:
             raise BerTableError(f"{source}: row {lineno}: expected 4 fields, got {len(row)}")
-        channel, modulation = row[0].strip(), row[1].strip()
         try:
-            distance = float(row[2])
-            ber = float(row[3])
+            points.append(BerPoint(row[0], row[1], float(row[2]), float(row[3])))
         except ValueError as exc:
             raise BerTableError(f"{source}: row {lineno}: {exc}") from None
-        points.append(BerPoint(channel, modulation, distance, ber))
     try:  # BerTable checks each point; point i is numbered[i + 1]
         return BerTable(points)
     except BadPointError as exc:

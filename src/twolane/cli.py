@@ -30,10 +30,19 @@ from .scenario import (
 )
 
 
+def _path(value: str) -> str:
+    """An option's path, which must not be empty: "" would fall back to the scenario's."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, help="scenario file (key = value format)")
-    p.add_argument("--ber-table", help="BER table CSV; overrides the scenario's ber_table")
-    p.add_argument("--out", help="output CSV path; overrides the scenario's output")
+    p.add_argument(
+        "--ber-table", type=_path, help="BER table CSV; overrides the scenario's ber_table"
+    )
+    p.add_argument("--out", type=_path, help="output CSV path; overrides the scenario's output")
     p.add_argument(
         "--interpolate",
         action="store_true",
@@ -76,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_inputs(args):
     sc = load_scenario(args.scenario)
-    table_path = args.ber_table or sc.ber_table
+    table_path = sc.ber_table if args.ber_table is None else args.ber_table
     if table_path is None:
         raise ScenarioError("no BER table: give --ber-table or a ber_table scenario key")
     if table_path == "builtin":
@@ -95,7 +104,7 @@ def main(argv=None) -> int:
             return 0
 
         sc, table = _load_inputs(args)
-        out_path = args.out or sc.output
+        out_path = sc.output if args.out is None else args.out
         if args.command == "plan":
             d = sc.d_start_cm if args.d_main_cm is None else args.d_main_cm
             sc = replace(sc, d_start_cm=d, d_stop_cm=d)

@@ -9,7 +9,12 @@ the missing natives: Gauss-Jordan elimination runs on the coefficients
 alone, a fixed handful of numpy calls per pivot with the pivot row's scale
 folded into the update, then the payload bytes are multiplied once by
 ``gf256.matmul``, the kernel that also encodes. Natives that survived are
-emitted as-is; with none lost, the same steps have nothing to solve. ``encode``
+emitted as-is; with none lost, the same steps have nothing to solve. From
+``gf256.LONG`` bytes on, ``matmul`` skips zero coefficient columns and turns a
+unit column into one XOR, and ``decode`` first folds each present native whose
+coefficients over the received coded payloads are a unit e_q into coded
+payload q; so long payloads skip the identity and zero columns, and under the
+echelon form ``encode`` multiplies only the natives that are not pivots. ``encode``
 and ``decode`` share one input check, and ``decode`` checks each entry's kind,
 index and uniqueness in the walk that sorts them.
 
@@ -275,7 +280,19 @@ def decode(
             f"singular system: rank {row} < {m} unknowns from {n} coded symbols"
         )
 
+    factors = ab[:m, m:]
     payloads = _payload_matrix([natives[i] for i in present] + coded_payloads)
-    for native_idx, payload in zip(missing, gf256.matmul(ab[:m, m:], payloads)):
+    if payloads.shape[1] >= gf256.LONG:
+        # a present native whose coefficients over the coded rows are a unit e_q has
+        # T's column q as its column of T S: XOR it into coded payload q instead of
+        # multiplying it, and zero its factors, a column matmul then skips
+        s = coeffs.take(present, axis=0).take(coded_cols, axis=1)
+        folds = np.flatnonzero(s.sum(axis=1, dtype=np.intp) == 1)
+        if len(folds):
+            payloads = payloads.copy()
+            for j, q in zip(folds.tolist(), np.nonzero(s[folds])[1].tolist()):
+                payloads[len(present) + q] ^= payloads[j]
+            factors[:, folds] = 0
+    for native_idx, payload in zip(missing, gf256.matmul(factors, payloads)):
         natives[native_idx] = payload.tobytes()
     return Generation(symbols=tuple(natives), generation_id=received.generation_id)

@@ -7,9 +7,11 @@ primitive under 0x11B (its order is 51), so the generator choice matters.
 
 A full 256x256 product table (``MUL``) is also exported. Payload math goes
 through ``matmul``, the field's matrix product: byte gathers from ``MUL`` by
-flat index for short payloads or from its rows, and nibble-row gathers for
-long payloads (Plank, Greenan and Miller, "Screaming Fast Galois Field
-Arithmetic Using Intel SIMD Instructions", FAST 2013).
+flat index for short payloads or from its rows, and for payloads of at least
+``LONG`` bytes one row gather per payload byte from a full product table of
+the coefficients, built from their nibble tables (Plank, Greenan and Miller,
+"Screaming Fast Galois Field Arithmetic Using Intel SIMD Instructions", FAST
+2013), with no product at all for a zero or unit coefficient column.
 
 All tables are built once at import and never mutated afterwards, so every
 function here is safe for unrestricted concurrent use.
@@ -21,7 +23,8 @@ import numpy as np
 
 POLY = 0x11B
 GENERATOR = 0x03
-NIBBLE_SPAN = 256  # payload bytes per column block of matmul's nibble path
+LONG = 256  # payload bytes from which matmul skips sparse columns and uses full tables
+TABLE_BYTES = 1 << 19  # bound on one full product table, and on its gather buffer
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -76,35 +79,75 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a[i, p] * 256 + b[p, j], XOR-reduced over the coefficients, not n * k whole
     MUL rows first; at n = 4 to 28, k = 20 to 33 it measured 1.1-1.25x the row
     gather at L = 8 (every 8-byte decode product), 1.05x at 16, 1.0x at 24 and
-    0.85-0.9x at 32. Else, at L < 256 or n < 8: one byte gather per (row,
-    coefficient, byte) from the rows MUL[a[i, p]]. Otherwise a table holds 32
-    rows per coefficient column p, a[:, p] * v and a[:, p] * (v << 4) for
-    v < 16, padded to a fast ``take`` chunk (16, 32 or 8j bytes); one row is
-    gathered per (p, byte, nibble), and the 2k rows are XOR-reduced as uint64
-    words, 256 bytes of ``b`` at a time.
-    The nibble path measured 1.0x the byte gather at n = 7, 1.05-1.4x at n = 8;
-    at n = 18 it wins from L = 96, but 256 keeps every 8-byte-payload product
-    (8 to 128 bytes wide, by the generations stacked) off it.
+    0.85-0.9x at 32. Else, at L < LONG: one byte gather per (row, coefficient,
+    byte) from the rows MUL[a[i, p]]; ``LONG`` = 256 keeps every
+    8-byte-payload product (8 to 128 bytes wide, by the generations stacked)
+    on these two paths.
+
+    At L >= LONG a zero column p of ``a`` costs nothing and a unit column
+    (a[u, p] = 1, the rest 0) one XOR of b[p] into row u; the other columns
+    go to the row gather at n < 8, else to ``_full_table_product``. Against
+    the nibble-row gather it replaced (two rows per byte from a 32-row table
+    per column), the full table measured 1.03-1.47x at L = 256 and 1.48-1.85x
+    at L = 1024, over n = 8 to 40 and k = 12 to 64; at n = 4 to 7 the row
+    gather still wins up to L = 512, at n < 4 everywhere.
     """
     (n, k), length = a.shape, b.shape[1]
     if length <= 16:
         products = MUL_FLAT.take((a.T.astype(np.intp) << 8)[:, :, None] | b[:, None, :])
         return np.bitwise_xor.reduce(products, axis=0)  # (k, n, L) -> (n, L)
-    if length < 256 or n < 8:
-        rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
-        products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)
-        return np.bitwise_xor.reduce(products, axis=1)
+    if length >= LONG:
+        sums = a.sum(axis=0, dtype=np.intp)  # 0 for a zero column only, 1 for a unit one only
+        dense = np.flatnonzero(sums > 1)
+        if len(dense) < k:
+            out = matmul(a.take(dense, axis=1), b.take(dense, axis=0))
+            units = np.flatnonzero(sums == 1)
+            _, targets = np.nonzero(a.take(units, axis=1).T)  # the 1 of each, in column order
+            for p, u in zip(units.tolist(), targets.tolist()):
+                out[u] ^= b[p]
+            return out
+        if n >= 8:
+            return _full_table_product(a, b)
+    rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
+    products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)
+    return np.bitwise_xor.reduce(products, axis=1)
+
+
+def _full_table_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``matmul`` for long payloads: one gathered row of all n products per (p, byte).
+
+    Row p * 256 + v of the table holds a[:, p] * v, padded to a fast ``take``
+    chunk (16, 32 or 8j bytes). It is built from the 32 nibble rows of
+    column p, a[:, p] * v and a[:, p] * (v << 4) for v < 16, as 8-byte words:
+    the high row repeated 16 times, XORed with the 16 low rows. The rows are
+    gathered 256 bytes of ``b`` at a time into one reused buffer and
+    XOR-reduced as words. Columns go in blocks of at most TABLE_BYTES //
+    (256 * width), so a table and the buffer stay within TABLE_BYTES however
+    large k grows, unless one column's 256 rows alone exceed it.
+    """
+    (n, k), length = a.shape, b.shape[1]
     width = 16 if n <= 16 else 32 if n <= 32 else -(-n // 8) * 8
-    table = np.zeros((k * 32, width), dtype=np.uint8)
-    table[:, :n] = NIBBLE_ROWS.take(a.T, axis=1).transpose(1, 0, 2).reshape(k * 32, n)
-    offsets = np.arange(0, 32 * k, 32)[:, None, None] + np.array([[0], [16]])  # (k, 2, 1)
-    out = np.empty((length, width), dtype=np.uint8)  # row j holds byte j of all n outputs
-    rows_buf = np.empty(2 * k * NIBBLE_SPAN * width, dtype=np.uint8)  # shared: no page faults
-    for c in range(0, length, NIBBLE_SPAN):
-        part = b[:, c : c + NIBBLE_SPAN]
-        span = part.shape[1]
-        picks = offsets + np.stack((part & 15, part >> 4), axis=1)  # (k, 2, span)
-        rows = rows_buf[: 2 * k * span * width].reshape(2 * k, span, width)
-        table.take(picks.reshape(2 * k, span), axis=0, out=rows, mode="clip")  # "clip": no copy
-        np.bitwise_xor.reduce(rows.view(np.uint64), axis=0, out=out[c : c + span].view(np.uint64))
+    per_table = max(1, TABLE_BYTES // (256 * width))
+    out = np.zeros((length, width), dtype=np.uint8)  # row j holds byte j of all n outputs
+    words = out.view(np.uint64)
+    rows_buf = np.empty(min(k, per_table) * 256 * width, dtype=np.uint8)  # shared: no page faults
+    for p0 in range(0, k, per_table):
+        block = a[:, p0 : p0 + per_table]
+        kb = block.shape[1]
+        halves = np.zeros((kb, 32, width), dtype=np.uint8)
+        halves[:, :, :n] = NIBBLE_ROWS.take(block.T, axis=1).transpose(1, 0, 2)
+        h = halves.view(np.uint64)
+        table = np.repeat(h[:, 16:], 16, axis=1).reshape(kb, 16, 16, -1)
+        table ^= h[:, None, :16]  # [p, hi, lo] = a[:, p] * (hi << 4 | lo)
+        table = table.view(np.uint8).reshape(kb * 256, width)
+        offsets = np.arange(0, 256 * kb, 256)[:, None]
+        for c in range(0, length, 256):
+            part = b[p0 : p0 + kb, c : c + 256]
+            span = part.shape[1]
+            rows = rows_buf[: kb * span * width].reshape(kb, span, width)
+            table.take(offsets + part, axis=0, out=rows, mode="clip")  # "clip": no copy
+            if p0:
+                words[c : c + span] ^= np.bitwise_xor.reduce(rows.view(np.uint64), axis=0)
+            else:
+                np.bitwise_xor.reduce(rows.view(np.uint64), axis=0, out=words[c : c + span])
     return np.ascontiguousarray(out[:, :n].T)

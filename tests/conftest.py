@@ -7,6 +7,8 @@ explicit modular reduction, no lookup tables.
 
 import math
 
+import numpy as np
+
 REDUCTION_POLY = 0x11B
 
 
@@ -20,6 +22,15 @@ def gf_mul_ref(a: int, b: int, poly: int = REDUCTION_POLY) -> int:
         if (prod >> bit) & 1:
             prod ^= poly << (bit - 8)
     return prod
+
+
+# Every product a * b, tabulated from the brute-force product, and a matrix
+# product built on it alone: one lookup per (row, coefficient, byte), then the XOR.
+REF_MUL = np.array([[gf_mul_ref(a, b) for b in range(256)] for a in range(256)], dtype=np.uint8)
+
+
+def matmul_ref(a, b):
+    return np.bitwise_xor.reduce(REF_MUL[a[:, :, None], b[None, :, :]], axis=1)
 
 
 def gf_inv_ref(a: int) -> int:

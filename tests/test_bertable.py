@@ -273,3 +273,31 @@ def test_save_load_round_trip_quotes_ids(tmp_path):
     path = tmp_path / "t.csv"
     bertable.save_ber_table(t, path)
     assert bertable.load_ber_table(path).points == t.points
+
+
+ID_TEXT = st.text(alphabet=st.sampled_from('aB7_é,"\' \t'), max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(ID_TEXT, ID_TEXT), min_size=1, max_size=5))
+def test_ids_are_stripped_where_a_point_is_built_and_survive_a_round_trip(tmp_path_factory, ids):
+    # commas and quotes are quoted on save; surrounding spaces and tabs never reach a table
+    table = bertable.BerTable(
+        [bertable.BerPoint(c, m, float(i), 0.5) for i, (c, m) in enumerate(ids)]
+    )
+    assert [(p.channel, p.modulation) for p in table.points] == [
+        (c.strip(), m.strip()) for c, m in ids
+    ]
+    path = tmp_path_factory.getbasetemp() / "ids.csv"
+    bertable.save_ber_table(table, path)
+    assert bertable.load_ber_table(path).points == table.points
+
+
+@pytest.mark.parametrize("channel", ["B\nC", "B\rC", "B\r\nC"])
+def test_an_id_with_a_line_break_is_rejected(channel):
+    with pytest.raises(ValueError, match="channel id .* holds a line break"):
+        bertable.BerPoint(channel, "16PSK", 200.0, 0.1)
+    text = table_text([f'"{channel}",16PSK,200,0.1'])
+    # the row is named by the line it ends on, as for any other bad row
+    with pytest.raises(BerTableError, match=r"row [23]: channel id .* holds a line break"):
+        parse_ber_table(text)

@@ -205,6 +205,23 @@ def test_usage_error_is_exit_1_not_the_infeasible_code(argv, capsys):
     assert "usage: twolane" in capsys.readouterr().err
 
 
+def test_empty_out_is_rejected_not_replaced_by_the_scenario_output(workdir, capsys):
+    (workdir / "out.scn").write_text(
+        scenario_text(extra=f"ber_table = ber.csv\noutput = {workdir / 'fromscn.csv'}"),
+        encoding="utf-8",
+    )
+    assert cli.main(["sweep", "--scenario", str(workdir / "out.scn"), "--out", ""]) == 1
+    assert "argument --out: must not be empty" in capsys.readouterr().err
+    assert not (workdir / "fromscn.csv").exists()
+
+
+def test_empty_ber_table_is_rejected_not_replaced_by_the_scenario_table(workdir, capsys):
+    rc = cli.main(["sweep", "--scenario", str(workdir / "scn.scn"), "--ber-table", ""])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --ber-table: must not be empty" in err
+
+
 def test_help_is_exit_0(capsys):
     assert cli.main(["--help"]) == 0
     assert cli.main(["simulate", "--help"]) == 0

@@ -9,10 +9,11 @@ fail as singular below full rank) and the field row operations counted.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolane import codec
+from twolane import codec, gf256
 from twolane.codec import (
     DecodeError,
     DecodeStats,
@@ -23,7 +24,7 @@ from twolane.codec import (
     SingularSystemError,
 )
 
-from conftest import gf_inv_ref, gf_mul_ref
+from conftest import gf_inv_ref, gf_mul_ref, matmul_ref
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -110,6 +111,72 @@ def test_decode_recovers_or_fails_for_the_right_reason(case, data):
         assert len(erased) <= r
         assert out.symbols == gen.symbols
 
+
+
+@st.composite
+def long_generations(draw, length):
+    """A generation of ``length``-byte payloads with plain, echelon
+    or sparse coefficients: in a sparse array each native's row is zero, a unit row
+    (often one that another native shares) or mostly 0 and 1. The bytes come from a
+    drawn seed, so that most plain systems have full rank."""
+    if draw(st.booleans()):  # from 8 lost natives, decode's product takes the full table
+        k, r = draw(st.integers(9, 14)), draw(st.integers(8, 12))
+    else:
+        k, r = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("plain", "echelon", "sparse")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.integers(0, 256, (k, r), dtype=np.uint8)
+    if kind == "echelon":
+        coeffs = codec.row_reduce(coeffs)
+    elif kind == "sparse" and r:
+        coeffs = rng.choice(np.array([0, 0, 1, 1, 2], dtype=np.uint8), (k, r))
+        shapes = rng.integers(0, 3, k)  # 0: zero row, 1: unit row, 2: as drawn
+        coeffs[shapes < 2] = 0
+        units = np.flatnonzero(shapes == 1)
+        coeffs[units, rng.integers(0, min(r, 3), len(units))] = 1
+    natives = rng.integers(0, 256, (k, length), dtype=np.uint8)
+    return Generation(symbols=tuple(map(bytes, natives))), coeffs
+
+
+@pytest.mark.parametrize("length", [gf256.LONG - 1, gf256.LONG, 1031])
+@PROPERTY
+@given(data=st.data())
+def test_long_payloads_encode_and_decode_like_the_references(length, data):
+    # long payloads skip zero and unit coefficient columns and fold a present native
+    # whose coefficients are a unit e_q into coded payload q; none of that may change
+    # the coded bytes, the outcome, the natives or the elimination steps; 255 bytes is
+    # just below gf256.LONG and 1031 is odd and past 1 KiB
+    gen, coeffs = data.draw(long_generations(length))
+    k, r = coeffs.shape
+    natives = np.frombuffer(b"".join(gen.symbols), dtype=np.uint8).reshape(k, -1)
+    coded = codec.encode(gen, coeffs)
+    assert coded == tuple(map(bytes, matmul_ref(coeffs.T, natives)))
+
+    # erasures drawn from a permutation, not as small indices first: an echelon form's
+    # pivot natives lead, and only a lost free native makes a fold count
+    e = data.draw(st.integers(0, min(k, r + 1)))
+    erased = set(data.draw(st.permutations(range(k)))[:e])
+    dropped = data.draw(st.sets(st.integers(0, r - 1), max_size=2)) if r else set()
+    sent = [j for j in range(r) if j not in dropped]
+    entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in erased]
+    entries += [ReceivedSymbol("coded", j, coded[j]) for j in sent]
+    entries = data.draw(st.permutations(entries))
+    missing = sorted(erased)
+    rank, steps = elimination_ref(
+        [[int(coeffs[i, sym.index]) for i in missing] for sym in entries if sym.kind == "coded"]
+    )
+    stats = DecodeStats()
+    try:
+        out = codec.decode(ReceivedGeneration(entries=tuple(entries)), coeffs, k, stats)
+    except InsufficientSymbolsError:
+        assert len(entries) < k and stats.elimination_steps == 0
+    except SingularSystemError:
+        assert len(entries) >= k and rank < len(missing)
+        assert stats.elimination_steps == steps
+    else:
+        assert len(entries) >= k and rank == len(missing)
+        assert out.symbols == gen.symbols
+        assert stats.elimination_steps == steps
 
 
 @PROPERTY

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from twolane import gf256
 
-from conftest import gf_mul_ref, gf_inv_ref
+from conftest import gf_inv_ref, gf_mul_ref, matmul_ref
 
 
 def test_mul_identity_and_annihilator_all_values():
@@ -128,23 +128,30 @@ def test_matmul_matches_bruteforce_oracle(ab):
             assert out[i, col] == expected
 
 
-# Every product a * b, tabulated from the brute-force oracle, and a matmul built
-# on it alone: one table lookup per (row, coefficient, byte), then the XOR.
-REF_MUL = np.array([[gf_mul_ref(a, b) for b in range(256)] for a in range(256)], dtype=np.uint8)
+def sparse_pair(n, k, length, seed=0):
+    """``pair`` with about a third of the columns zero and a third unit, some on one row."""
+    a, b = pair(n, k, length, seed)
+    rng = np.random.default_rng(seed + 1)
+    kind = rng.integers(0, 3, k)  # 0: zero column, 1: unit column, 2: as drawn
+    a[:, kind < 2] = 0
+    units = np.flatnonzero(kind == 1)
+    if n:
+        a[rng.integers(0, n, len(units)), units] = 1
+    return a, b
 
 
-def matmul_ref(a, b):
-    return np.bitwise_xor.reduce(REF_MUL[a[:, :, None], b[None, :, :]], axis=1)
-
-
-@pytest.mark.parametrize("length", [1, 8, 32, 33, 64, 255, 256, 257, 513, 1024])
+@pytest.mark.parametrize("length", [1, 8, 32, 33, 64, 255, 256, 257, 513, 1024, 1031])
 @pytest.mark.parametrize("n", [0, 7, 8, 9, 16, 17, 32, 33])
 def test_matmul_both_paths_match_the_tabulated_oracle(n, length):
-    # L = 1 and 8 take the flat-table gather; n = 0 and 7, or L = 32 to 255, the
-    # byte gather; the rest the nibble path, padded to 16, 32 and 40 bytes, with
-    # a ragged last block at 257 and 513
-    for k in (1, 30):
+    # L = 1 and 8 take the flat-table gather; L = 32 to 255, or n = 0 and 7, the
+    # row gather; the rest the full table, padded to 16, 32 and 40 bytes, with a
+    # ragged last 256-byte span at 257, 513 and 1031; at k = 130 its columns go
+    # in two or three blocks
+    for k in (1, 30, 130):
         a, b = pair(n, k, length, seed=n * length + k)
+        assert np.array_equal(gf256.matmul(a, b), matmul_ref(a, b))
+        # from L = 256 a zero column is skipped and a unit column is one XOR
+        a, b = sparse_pair(n, k, length, seed=n * length + k)
         assert np.array_equal(gf256.matmul(a, b), matmul_ref(a, b))
     # decode passes a strided slice of its elimination matrix
     wide, b = pair(n, 60, length, seed=1)
