@@ -79,18 +79,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a[i, p] * 256 + b[p, j], XOR-reduced over the coefficients, not n * k whole
     MUL rows first; at n = 4 to 28, k = 20 to 33 it measured 1.1-1.25x the row
     gather at L = 8 (every 8-byte decode product), 1.05x at 16, 1.0x at 24 and
-    0.85-0.9x at 32. Else, at L < LONG: one byte gather per (row, coefficient,
-    byte) from the rows MUL[a[i, p]]; ``LONG`` = 256 keeps every
-    8-byte-payload product (8 to 128 bytes wide, by the generations stacked)
-    on these two paths.
-
-    At L >= LONG a zero column p of ``a`` costs nothing and a unit column
-    (a[u, p] = 1, the rest 0) one XOR of b[p] into row u; the other columns
-    go to the row gather at n < 8, else to ``_full_table_product``. Against
-    the nibble-row gather it replaced (two rows per byte from a 32-row table
-    per column), the full table measured 1.03-1.47x at L = 256 and 1.48-1.85x
-    at L = 1024, over n = 8 to 40 and k = 12 to 64; at n = 4 to 7 the row
-    gather still wins up to L = 512, at n < 4 everywhere.
+    0.85-0.9x at 32. Else, at L < LONG or n < 8: one byte gather per (row,
+    coefficient, byte) from the rows MUL[a[i, p]]. From L = LONG on, a zero
+    column p costs nothing and a unit column (a[u, p] = 1, the rest 0) one XOR
+    of b[p] into row u, and at n >= 8 row p * 256 + v of a full table holds
+    a[:, p] * v, padded to a fast ``take`` chunk (16, 32 or 8j bytes) and
+    built as 8-byte words from the 32 nibble rows a[:, p] * v and
+    a[:, p] * (v << 4), v < 16: one row is gathered per (p, byte) into one
+    reused buffer and the k rows are XOR-reduced as words, 256 bytes of ``b``
+    at a time. Columns go in blocks of at most TABLE_BYTES // (256 * width),
+    so a table and the buffer stay within TABLE_BYTES as k grows.
+    The full table measured 1.03-1.47x a nibble-row gather (two rows per byte
+    from the 32 nibble rows) at L = 256 and 1.48-1.85x at L = 1024, over n = 8
+    to 40 and k = 12 to 64; at n = 4 to 7 the byte gather still wins up to
+    L = 512, at n < 4 everywhere. At n >= 8 the full table beats the byte
+    gather from L = 96 to 192, but ``LONG`` = 256 keeps every 8-byte-payload
+    product (8 to 128 bytes wide, by the generations stacked) off it.
     """
     (n, k), length = a.shape, b.shape[1]
     if length <= 16:
@@ -106,26 +110,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for p, u in zip(units.tolist(), targets.tolist()):
                 out[u] ^= b[p]
             return out
-        if n >= 8:
-            return _full_table_product(a, b)
-    rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
-    products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)
-    return np.bitwise_xor.reduce(products, axis=1)
-
-
-def _full_table_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``matmul`` for long payloads: one gathered row of all n products per (p, byte).
-
-    Row p * 256 + v of the table holds a[:, p] * v, padded to a fast ``take``
-    chunk (16, 32 or 8j bytes). It is built from the 32 nibble rows of
-    column p, a[:, p] * v and a[:, p] * (v << 4) for v < 16, as 8-byte words:
-    the high row repeated 16 times, XORed with the 16 low rows. The rows are
-    gathered 256 bytes of ``b`` at a time into one reused buffer and
-    XOR-reduced as words. Columns go in blocks of at most TABLE_BYTES //
-    (256 * width), so a table and the buffer stay within TABLE_BYTES however
-    large k grows, unless one column's 256 rows alone exceed it.
-    """
-    (n, k), length = a.shape, b.shape[1]
+    if length < LONG or n < 8:
+        rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
+        products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)
+        return np.bitwise_xor.reduce(products, axis=1)
     width = 16 if n <= 16 else 32 if n <= 32 else -(-n // 8) * 8
     per_table = max(1, TABLE_BYTES // (256 * width))
     out = np.zeros((length, width), dtype=np.uint8)  # row j holds byte j of all n outputs
