@@ -89,12 +89,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reused buffer and the k rows are XOR-reduced as words, 256 bytes of ``b``
     at a time. Columns go in blocks of at most TABLE_BYTES // (256 * width),
     so a table and the buffer stay within TABLE_BYTES as k grows.
-    The full table measured 1.03-1.47x a nibble-row gather (two rows per byte
-    from the 32 nibble rows) at L = 256 and 1.48-1.85x at L = 1024, over n = 8
-    to 40 and k = 12 to 64; at n = 4 to 7 the byte gather still wins up to
-    L = 512, at n < 4 everywhere. At n >= 8 the full table beats the byte
-    gather from L = 96 to 192, but ``LONG`` = 256 keeps every 8-byte-payload
-    product (8 to 128 bytes wide, by the generations stacked) off it.
+    Over n = 8 to 48 and k = 12 to 100, with no zero or unit column, this
+    measured 0.90-1.16x a nibble-row gather (two rows per byte from the 32
+    nibble rows) at L = 256, 1.16-1.41x at 512 and 1.36-1.69x at 1024; it
+    passes the byte gather from L = 128 (n = 18, k = 30) to 512 (n = 8,
+    k = 12). At n = 6 and 7 it would pass it from 512, at n <= 4 not by 1024.
+    ``LONG`` = 256 keeps every 8-byte-payload product (8 to 128 bytes wide, by
+    the generations stacked) on the short paths. The column check costs 3-10%
+    of a long product at n = 4 to 7 that has no zero or unit column.
     """
     (n, k), length = a.shape, b.shape[1]
     if length <= 16:

@@ -115,10 +115,10 @@ def test_decode_recovers_or_fails_for_the_right_reason(case, data):
 
 @st.composite
 def long_generations(draw, length):
-    """A generation of ``length``-byte payloads with plain, echelon
-    or sparse coefficients: in a sparse array each native's row is zero, a unit row
-    (often one that another native shares) or mostly 0 and 1. The bytes come from a
-    drawn seed, so that most plain systems have full rank."""
+    """A generation of ``length``-byte payloads with plain, echelon or sparse
+    coefficients: in a sparse array each native's row is zero, a unit row (often one
+    that another native shares) or mostly 0 and 1. The bytes come from a drawn seed,
+    so that most plain systems have full rank."""
     if draw(st.booleans()):  # from 8 lost natives, decode's product takes the full table
         k, r = draw(st.integers(9, 14)), draw(st.integers(8, 12))
     else:
