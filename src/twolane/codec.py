@@ -10,10 +10,11 @@ alone, a fixed handful of numpy calls per pivot with the pivot row's scale
 folded into the update, then the payload bytes are multiplied once by
 ``gf256.matmul``, the kernel that also encodes. Natives that survived are
 emitted as-is; with none lost, the same steps have nothing to solve. From
-``gf256.LONG`` bytes on, ``matmul`` skips zero coefficient columns and turns a
-unit column into one XOR, and ``decode`` first folds each present native whose
-coefficients over the received coded payloads are a unit e_q into coded
-payload q; so long payloads skip the identity and zero columns, and under the
+``gf256.LONG`` bytes on, ``matmul`` skips zero coefficient columns and XORs in
+the unit columns alone on their row, and ``decode`` first folds the present
+natives whose coefficients over the received coded payloads are a unit e_q,
+alone on their q, into coded payload q, each in one XOR; so long payloads skip
+the identity and zero columns (a shared unit is multiplied), and under the
 echelon form ``encode`` multiplies only the natives that are not pivots. ``encode``
 and ``decode`` share one input check, and ``decode`` checks each entry's kind,
 index and uniqueness in the walk that sorts them.
@@ -149,12 +150,13 @@ def _gauss_jordan(ab: np.ndarray, m: int) -> tuple[int, int]:
     while lead < m and sums[lead] == 1:
         lead += 1
     if lead:
-        order = list(range(n))  # position -> row
+        order, where = list(range(n)), list(range(n))  # position -> row, row -> position
         for q in ab[:, :lead].argmax(axis=0).tolist():  # the row of each column's 1
-            p = order.index(q)
+            p = where[q]
             if p < row:
                 break
-            order[row], order[p] = order[p], order[row]
+            order[row], order[p] = q, order[row]
+            where[q], where[order[p]] = row, p
             row += 1
         if row:
             ab[:] = ab.take(order, axis=0)
@@ -284,14 +286,16 @@ def decode(
     payloads = _payload_matrix([natives[i] for i in present] + coded_payloads)
     if payloads.shape[1] >= gf256.LONG:
         # a present native whose coefficients over the coded rows are a unit e_q has
-        # T's column q as its column of T S: XOR it into coded payload q instead of
-        # multiplying it, and zero its factors, a column matmul then skips
+        # T's column q as its column of T S: unless another shares q, XOR it into coded
+        # payload q instead of multiplying it, and zero its factors, a column matmul skips
         s = coeffs.take(present, axis=0).take(coded_cols, axis=1)
         folds = np.flatnonzero(s.sum(axis=1, dtype=np.intp) == 1)
+        _, rows = np.nonzero(s[folds])  # the q of each
+        alone = np.bincount(rows, minlength=n)[rows] == 1  # one XOR applies one of equal qs
+        folds, rows = folds[alone], rows[alone]
         if len(folds):
             payloads = payloads.copy()
-            for j, q in zip(folds.tolist(), np.nonzero(s[folds])[1].tolist()):
-                payloads[len(present) + q] ^= payloads[j]
+            payloads[len(present) + rows] ^= payloads[folds]
             factors[:, folds] = 0
     for native_idx, payload in zip(missing, gf256.matmul(factors, payloads)):
         natives[native_idx] = payload.tobytes()

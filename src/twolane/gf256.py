@@ -11,7 +11,7 @@ flat index for short payloads or from its rows, and for payloads of at least
 ``LONG`` bytes one row gather per payload byte from a full product table of
 the coefficients, built from their nibble tables (Plank, Greenan and Miller,
 "Screaming Fast Galois Field Arithmetic Using Intel SIMD Instructions", FAST
-2013), with no product at all for a zero or unit coefficient column.
+2013), with no product for a zero coefficient column or a unit one alone on its row.
 
 All tables are built once at import and never mutated afterwards, so every
 function here is safe for unrestricted concurrent use.
@@ -81,8 +81,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     gather at L = 8 (every 8-byte decode product), 1.05x at 16, 1.0x at 24 and
     0.85-0.9x at 32. Else, at L < LONG or n < 8: one byte gather per (row,
     coefficient, byte) from the rows MUL[a[i, p]]. From L = LONG on, a zero
-    column p costs nothing and a unit column (a[u, p] = 1, the rest 0) one XOR
-    of b[p] into row u, and at n >= 8 row p * 256 + v of a full table holds
+    column p costs nothing and a unit column (a[u, p] = 1, the rest 0) alone on
+    row u one XOR of b[p] into row u, all in one fancy-indexed XOR, which applies
+    one of two equal indices (so unit columns sharing a row are multiplied); and
+    at n >= 8 row p * 256 + v of a full table holds
     a[:, p] * v, padded to a fast ``take`` chunk (16, 32 or 8j bytes) and
     built as 8-byte words from the 32 nibble rows a[:, p] * v and
     a[:, p] * (v << 4), v < 16: one row is gathered per (p, byte) into one
@@ -98,20 +100,26 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the generations stacked) on the short paths. The column check costs 3-10%
     of a long product at n = 4 to 7 that has no zero or unit column.
     """
+    if b.shape[1] >= LONG:
+        sums = a.sum(axis=0, dtype=np.intp)  # 0 for a zero column only, 1 for a unit one only
+        dense = np.flatnonzero(sums > 1)
+        if len(dense) < len(sums):
+            units = np.flatnonzero(sums == 1)
+            _, rows = np.nonzero(a.take(units, axis=1).T)  # the row of each unit column's 1
+            alone = np.bincount(rows, minlength=len(a))[rows] == 1  # no other unit on that row
+            dense = np.concatenate((dense, units[~alone]))  # in any order: XOR commutes
+            out = _product(a.take(dense, axis=1), b.take(dense, axis=0))
+            out[rows[alone]] ^= b.take(units[alone], axis=0)
+            return out
+    return _product(a, b)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``matmul`` multiplying every column; recursing instead re-ran the column check."""
     (n, k), length = a.shape, b.shape[1]
     if length <= 16:
         products = MUL_FLAT.take((a.T.astype(np.intp) << 8)[:, :, None] | b[:, None, :])
         return np.bitwise_xor.reduce(products, axis=0)  # (k, n, L) -> (n, L)
-    if length >= LONG:
-        sums = a.sum(axis=0, dtype=np.intp)  # 0 for a zero column only, 1 for a unit one only
-        dense = np.flatnonzero(sums > 1)
-        if len(dense) < k:
-            out = matmul(a.take(dense, axis=1), b.take(dense, axis=0))
-            units = np.flatnonzero(sums == 1)
-            _, targets = np.nonzero(a.take(units, axis=1).T)  # the 1 of each, in column order
-            for p, u in zip(units.tolist(), targets.tolist()):
-                out[u] ^= b[p]
-            return out
     if length < LONG or n < 8:
         rows = MUL[a].reshape(n, k * 256)  # column p*256 + v of row i holds a[i, p] * v
         products = rows.take(np.arange(k)[:, None] * 256 + b, axis=1)  # (n, k, L)

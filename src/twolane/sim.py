@@ -19,15 +19,16 @@ Streams: every draw of a run comes from ``SeedSequence(rng_seed)`` by spawn
 key, ``(distance_index, 0)`` for the coefficients and ``(distance_index,
 1 + c)`` for chunk c, the generations CHUNK*c to CHUNK*(c + 1) - 1. A chunk
 draws, in this order, its (G, K, L) natives, then either the (G, K) erasure
-uniforms or the (G, K*s) flip uniforms and (G, K*s) correction keys. Seeds
-are below 2**64, so no two (seed, distance, chunk) keys share a stream.
+uniforms or the (G, K*s) flip uniforms and (G, K*s) correction keys; the
+natives as 32-bit words, the bytes and state of a uint8 draw (``draw_natives``).
+Seeds are below 2**64, so no two (seed, distance, chunk) keys share a stream.
 
 A generation gets its surviving natives and all R coded payloads, so one
 with fewer than K is counted insufficient from the survivor mask alone, and
 one that lost no native is counted decoded from it; neither is encoded or
 decoded. The others are encoded in blocks, one ``Generation`` whose payload i
-stacks payload i of up to 256 // L of them (at least one), and decoded one by
-one. The receive buffer is unbounded; the symbols received per generation are
+stacks payload i of up to BLOCK_BYTES // L of them (at least one), and decoded one
+by one. The receive buffer is unbounded; the symbols received per generation are
 only reported, as a histogram.
 
 A run row-reduces the coefficients it draws, once, right after the draw
@@ -62,7 +63,9 @@ from .fec import ERROR_MODES, check_count, check_probability, check_seed, snap
 from .planner import LinkParams, LinkPlan
 
 CHUNK = 16  # generations per random stream; part of the stream contract
-BLOCK_BYTES = 256  # payload bytes per native in one encode call: bounds its product's memory
+# bytes per native stacked in one encode (or one payload, if longer); bounds its product's
+# memory, (R + 8) * K * BLOCK_BYTES bytes in the byte gather that takes R < 8 coded payloads
+BLOCK_BYTES = 4096
 
 
 def check_run_args(generations, error_mode, rng_seed=0, payload_len=1, distance_index=0) -> None:
@@ -123,6 +126,13 @@ def corrupt_bits(g, k, s, bit_error_rate, budget, rng) -> np.ndarray:
     return ~flips.reshape(g, k, s).any(axis=2)
 
 
+def draw_natives(g: int, k: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.integers(0, 256, (g, k, length), dtype=np.uint8)``, drawn as it draws it: the
+    bytes, low first, of ceil(g * k * length / 4) uint32 words, at about twice its speed."""
+    words = rng.integers(0, 2**32, -(-g * k * length // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[: g * k * length].reshape(g, k, length)
+
+
 def run(cfg: SimConfig) -> SimReport:
     """Simulate cfg.generations independent generations end to end."""
     fec, k, r = cfg.link.fec, cfg.link.fec.k, cfg.plan.redundancy
@@ -138,7 +148,7 @@ def run(cfg: SimConfig) -> SimReport:
     for first, stream in zip(range(0, n, CHUNK), streams):
         rng = np.random.default_rng(stream)
         g = min(CHUNK, n - first)
-        natives = rng.integers(0, 256, size=(g, k, length), dtype=np.uint8)
+        natives = draw_natives(g, k, length, rng)
         if cfg.error_mode == "analytic-erasure":
             alive = erase_symbols(g, k, cfg.plan.fec.residual_ser, rng)
         else:

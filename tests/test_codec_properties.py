@@ -160,8 +160,13 @@ def test_long_payloads_encode_and_decode_like_the_references(length, data):
     sent = [j for j in range(r) if j not in dropped]
     entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in erased]
     entries += [ReceivedSymbol("coded", j, coded[j]) for j in sent]
-    entries = data.draw(st.permutations(entries))
-    missing = sorted(erased)
+    assert_decodes_like_the_reference(gen, coeffs, data.draw(st.permutations(entries)))
+
+
+def assert_decodes_like_the_reference(gen, coeffs, entries):
+    """decode's outcome, natives and elimination steps against ``elimination_ref``."""
+    k = len(gen.symbols)
+    missing = sorted(set(range(k)) - {sym.index for sym in entries if sym.kind == "native"})
     rank, steps = elimination_ref(
         [[int(coeffs[i, sym.index]) for i in missing] for sym in entries if sym.kind == "coded"]
     )
@@ -177,6 +182,37 @@ def test_long_payloads_encode_and_decode_like_the_references(length, data):
         assert len(entries) >= k and rank == len(missing)
         assert out.symbols == gen.symbols
         assert stats.elimination_steps == steps
+
+
+@pytest.mark.parametrize("length", [gf256.LONG, 1031])
+@PROPERTY
+@given(data=st.data())
+def test_long_payloads_with_shared_unit_rows_encode_and_decode_like_the_references(
+    length, data
+):
+    # natives with one unit row e_q, two or more per q: as columns of C.T they are unit
+    # columns that share row q, and present they fold onto coded payload q; one
+    # fancy-indexed XOR applies only one of two equal indices, so these must be
+    # multiplied, while a unit row alone on its q is still XORed
+    k, r = data.draw(st.integers(3, 14)), data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    coeffs = rng.integers(0, 256, (k, r), dtype=np.uint8)
+    order = data.draw(st.permutations(range(k)))
+    tied = data.draw(st.integers(2, k - 1))  # natives order[:tied] have unit rows
+    targets = data.draw(st.lists(st.integers(0, r - 1), min_size=tied, max_size=tied))
+    targets[1] = targets[0]  # at least one shared row
+    coeffs[order[:tied]] = 0
+    coeffs[order[:tied], targets] = 1
+    natives = rng.integers(0, 256, (k, length), dtype=np.uint8)
+    gen = Generation(symbols=tuple(map(bytes, natives)))
+    coded = codec.encode(gen, coeffs)
+    assert coded == tuple(map(bytes, matmul_ref(coeffs.T, natives)))
+
+    # lose only natives without a unit row, so that the tied ones fold
+    lost = set(order[tied:][: data.draw(st.integers(1, min(k - tied, r)))])
+    entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in lost]
+    entries += [ReceivedSymbol("coded", j, p) for j, p in enumerate(coded)]
+    assert_decodes_like_the_reference(gen, coeffs, data.draw(st.permutations(entries)))
 
 
 @PROPERTY

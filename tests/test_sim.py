@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
@@ -353,6 +353,61 @@ def test_large_seed_does_not_alias_a_small_one(monkeypatch):
     assert not any(shared_prefix(a, b) for a in big for b in small)
     reports = [sim.run(config(generations=50, seed=seed)) for seed in (2**32 + 7, 7)]
     assert reports[0] != reports[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((0, 2**64 - 1)) | st.integers(0, 2**64 - 1),
+    st.integers(0, 5),
+    st.integers(0, 3),
+    st.integers(1, sim.CHUNK),
+    st.integers(1, 9),
+    st.integers(1, 37),
+    st.sampled_from(sim.ERROR_MODES),
+)
+@example(0, 0, 0, 1, 1, 3, "analytic-erasure")  # 3 bytes: part of one word
+@example(2**64 - 1, 2, 1, 3, 5, 7, "bit-level")  # 105 bytes
+@example(0, 0, 0, 16, 9, 1024, "analytic-erasure")
+def test_natives_drawn_as_words_are_the_byte_draw(seed, d, c, g, k, length, mode):
+    # the oracle of sim.run compares SimReports, which hold no payload bytes: so a word
+    # draw with the wrong byte order or length would pass it; here the bytes and the
+    # draws after them must equal those of the byte draw from the chunk's stream
+    stream = np.random.SeedSequence(seed, spawn_key=(d, 1 + c))
+    words, per_byte = np.random.default_rng(stream), np.random.default_rng(stream)
+    natives = sim.draw_natives(g, k, length, words)
+    assert natives.dtype == np.uint8 and natives.shape == (g, k, length)
+    assert np.array_equal(natives, per_byte.integers(0, 256, (g, k, length), dtype=np.uint8))
+    if mode == "analytic-erasure":
+        after = [sim.erase_symbols(g, k, 0.3, rng) for rng in (words, per_byte)]
+    else:
+        after = [sim.corrupt_bits(g, k, 3, 0.2, 2, rng) for rng in (words, per_byte)]
+    assert np.array_equal(*after)
+    assert words.random() == per_byte.random()
+
+
+def test_run_encodes_the_natives_it_draws(monkeypatch):
+    # 17 generations of 1 KiB: two chunks, and blocks that stack several generations
+    cfg = dataclasses.replace(config(generations=17, seed=11), payload_len=1024)
+    drawn, blocks = [], []
+    real_draw, real_encode = sim.draw_natives, sim.encode
+
+    def draw_spy(g, k, length, rng):
+        natives = real_draw(g, k, length, rng)
+        drawn.extend(natives)
+        return natives
+
+    def encode_spy(gen, coeffs):
+        stacked = np.frombuffer(b"".join(gen.symbols), dtype=np.uint8).reshape(30, -1, 1024)
+        blocks.append((gen.generation_id, stacked.transpose(1, 0, 2)))
+        return real_encode(gen, coeffs)
+
+    monkeypatch.setattr(sim, "draw_natives", draw_spy)
+    monkeypatch.setattr(sim, "encode", encode_spy)
+    sim.run(cfg)
+    assert len(drawn) == 17 and max(len(block) for _, block in blocks) > 1
+    for first, block in blocks:
+        assert np.array_equal(block[0], drawn[first])
+        assert all(any(np.array_equal(p, q) for q in drawn[first:]) for p in block)
 
 
 # ------------------------------------------------------------ undecodable skip
