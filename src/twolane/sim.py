@@ -65,7 +65,7 @@ from .planner import LinkParams, LinkPlan
 CHUNK = 16  # generations per random stream; part of the stream contract
 # bytes per native stacked in one encode (or one payload, if longer); bounds its product's
 # memory, (R + 8) * K * BLOCK_BYTES bytes in the byte gather that takes R < 8 coded payloads
-BLOCK_BYTES = 4096
+BLOCK_BYTES = 3072
 
 
 def check_run_args(generations, error_mode, rng_seed=0, payload_len=1, distance_index=0) -> None:

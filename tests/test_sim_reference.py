@@ -169,9 +169,9 @@ def sparse(coeffs: np.ndarray) -> np.ndarray:
                         rng_seed=2**64 - 1, error_mode="bit-level", distance_index=3), False))
 @example((forced_config(9, 6, 8, 0.2, 0.8, 5, 0.4, generations=33, payload_len=1,
                         rng_seed=2**32 + 7), True))
-# 1 KiB payloads at R = K = 9: encode blocks that stack several generations, with a
-# short last block in both chunks, and decodes of both chunks
-@example((forced_config(9, 9, 8, 0.2, 0.8, 5, 0.4, generations=19, payload_len=1024,
+# 1 KiB payloads at R = K = 9: encode blocks that stack several generations, across a
+# chunk boundary, and a last block of two
+@example((forced_config(9, 9, 8, 0.2, 0.8, 5, 0.4, generations=18, payload_len=1024,
                         rng_seed=2**64 - 1, distance_index=1), False))
 def test_run_matches_the_scalar_reference(case):
     cfg, rank_deficient = case
