@@ -128,7 +128,7 @@ def corrupt_bits(g, k, s, bit_error_rate, budget, rng) -> np.ndarray:
 
 def draw_natives(g: int, k: int, length: int, rng: np.random.Generator) -> np.ndarray:
     """``rng.integers(0, 256, (g, k, length), dtype=np.uint8)``, drawn as it draws it: the
-    bytes, low first, of ceil(g * k * length / 4) uint32 words, at about twice its speed."""
+    bytes, low first, of ceil(g * k * length / 4) uint32 words, about 1.5x as fast at 1 KiB."""
     words = rng.integers(0, 2**32, -(-g * k * length // 4), dtype=np.uint32)
     return words.astype("<u4", copy=False).view(np.uint8)[: g * k * length].reshape(g, k, length)
 
