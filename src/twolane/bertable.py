@@ -26,7 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 HEADER = ("channel_id", "modulation", "distance_cm", "p_e")
@@ -164,9 +167,24 @@ def load_ber_table(path) -> BerTable:
         return parse_ber_table(f.read(), source=str(path))
 
 
+@contextmanager
+def rewrite(path):
+    """``open(path, "w", encoding="utf-8", newline="\\n")`` that overwrites in place: on ext4
+    (``auto_da_alloc``) a truncate to zero forces a flush at close that the next truncate
+    waits for. A regular file is cut where writing stopped, also when the writer raises;
+    a device or FIFO is not cut, as O_TRUNC never cut one."""
+    opener = lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)  # noqa: E731
+    with open(path, "w", encoding="utf-8", newline="\n", opener=opener) as f:
+        try:
+            yield f
+        finally:
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
+
+
 def save_ber_table(table: BerTable, path) -> None:
     """Write ``table`` in the CSV dialect ``parse_ber_table`` reads: ids quoted as needed."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with rewrite(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(HEADER)
         for p in table.points:

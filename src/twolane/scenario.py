@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter, index
 from typing import get_type_hints
 
-from .bertable import BerTable
+from .bertable import BerTable, rewrite
 from .fec import FecParams, check_seed, is_integer, snap
 from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
 
@@ -299,16 +300,11 @@ def _format(value) -> str:
 
 
 def write_rows_csv(path_or_file, columns, rows_of_values) -> None:
-    def _write(f):
+    is_file = hasattr(path_or_file, "write")
+    with nullcontext(path_or_file) if is_file else rewrite(path_or_file) as f:
         f.write(",".join(columns) + "\n")
         for values in rows_of_values:
             f.write(",".join(_format(v) for v in values) + "\n")
-
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="\n") as f:
-            _write(f)
 
 
 def write_sweep_csv(rows: list[SweepRow], path_or_file) -> None:

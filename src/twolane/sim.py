@@ -184,6 +184,7 @@ def run(cfg: SimConfig) -> SimReport:
                     report.decoded_generations += 1
                     if out.symbols != sent:
                         report.payload_mismatches += 1
+            del stacked, coded, coded_in  # coded_in's map holds coded; free them before the next encode
 
     erased = n * (k + r) - sum(total * times for total, times in histogram.items())
     report.decode_failure_rate = (report.insufficient_failures + report.singular_failures) / n

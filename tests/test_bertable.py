@@ -264,6 +264,14 @@ def test_save_load_round_trip(tmp_path):
     assert again.points == t.points
 
 
+def test_save_over_a_longer_file_loads_back_equal(tmp_path):
+    path = tmp_path / "t.csv"
+    bertable.save_ber_table(bertable.load_builtin_table(), path)
+    small = parse_ber_table("channel_id,modulation,distance_cm,p_e\nB,16PSK,200,0.1\n")
+    bertable.save_ber_table(small, path)
+    assert bertable.load_ber_table(path).points == small.points
+
+
 def test_save_load_round_trip_quotes_ids(tmp_path):
     # an id holding the delimiter or a quote is written quoted, so the loader reads it back
     t = parse_ber_table(

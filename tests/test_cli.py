@@ -114,6 +114,15 @@ def test_sweep_writes_csv(workdir, capsys):
     assert "wrote 37 rows" in capsys.readouterr().out
 
 
+def test_sweep_over_a_longer_file_writes_the_golden_bytes(tmp_path):
+    golden = ROOT / "tests" / "golden"
+    out = tmp_path / "sweep.csv"
+    out.write_bytes(b"".join(p.read_bytes() for p in sorted(golden.glob("*.csv"))))
+    scn = str(ROOT / "scenarios" / "channel_b_16psk.scn")
+    assert cli.main(["sweep", "--scenario", scn, "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden / "channel_b_16psk.sweep.csv").read_bytes()
+
+
 def test_sweep_uses_builtin_table(tmp_path, capsys):
     (tmp_path / "scn.scn").write_text(
         scenario_text(extra="ber_table = builtin"), encoding="utf-8"

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import re
+import stat
 import tempfile
 
 import numpy as np
@@ -348,6 +349,52 @@ def test_sweep_csv_of_numpy_values_reads_back(tmp_path):
     assert read_sweep_csv(tmp_path / "numpy.csv") == rows
     assert scenario._format(np.int64(3)) == "3" and scenario._format(np.uint8(255)) == "255"
     assert scenario._format(True) == "1.0"  # a bool is not an integer column value
+
+
+def _written(rows, tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    write_sweep_csv(rows, fresh)
+    return fresh.read_bytes()
+
+
+def test_sweep_csv_rewrites_a_longer_file_in_place(tmp_path):
+    # exactly the new bytes, no tail of the old file, on the same inode with the same mode
+    rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    path.chmod(0o640)
+    before = path.stat()
+    write_sweep_csv(rows[:3], path)
+    after = path.stat()
+    assert path.read_bytes() == _written(rows[:3], tmp_path)
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == stat.S_IMODE(before.st_mode) == 0o640
+
+
+def test_sweep_csv_to_a_device_is_written_and_not_cut():
+    # O_TRUNC never touched a device; truncating os.devnull would raise EINVAL
+    rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
+    write_sweep_csv(rows, os.devnull)
+
+
+def test_a_row_that_fails_to_format_leaves_the_rows_before_it_and_no_old_tail(tmp_path):
+    rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    bad = dataclasses.replace(rows[2], p_e="not a number")
+    with pytest.raises(ValueError, match="not a number"):
+        write_sweep_csv([*rows[:2], bad, *rows[3:]], path)
+    assert path.read_bytes() == _written(rows[:2], tmp_path)
+
+
+def test_sweep_csv_through_a_symlink_rewrites_the_target(tmp_path):
+    rows, _ = sweep(parse_scenario(scenario_text()), load_builtin_table())
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    write_sweep_csv(rows, target)
+    link.symlink_to(target.name)
+    write_sweep_csv(rows[:3], link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == _written(rows[:3], tmp_path)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
