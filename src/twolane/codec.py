@@ -11,13 +11,11 @@ folded into the update, then the payload bytes are multiplied once by
 ``gf256.matmul``, the kernel that also encodes. Natives that survived are
 emitted as-is; with none lost, the same steps have nothing to solve. From
 ``gf256.LONG`` bytes on, ``matmul`` skips zero coefficient columns and XORs in
-the unit columns alone on their row, and ``decode`` first folds the present
-natives whose coefficients over the received coded payloads are a unit e_q,
-alone on their q, into coded payload q, each in one XOR; so long payloads skip
-the identity and zero columns (a shared unit is multiplied), and under the
-echelon form ``encode`` multiplies only the natives that are not pivots. ``encode``
-and ``decode`` share one input check, and ``decode`` checks each entry's kind,
-index and uniqueness in the walk that sorts them.
+the unit columns alone on their row, so under the echelon form ``encode``
+multiplies only the natives that are not pivots; ``decode``'s one product
+takes whatever columns its elimination left. ``encode`` and ``decode`` share
+one input check, and ``decode`` checks each entry's kind, index and
+uniqueness in the walk that sorts them.
 
 The coefficients are a plain (K, R) uint8 array. ``make_coefficients``
 returns it read-only, so one array may be shared freely: it decodes any
@@ -284,19 +282,6 @@ def decode(
 
     factors = ab[:m, m:]
     payloads = _payload_matrix([natives[i] for i in present] + coded_payloads)
-    if payloads.shape[1] >= gf256.LONG:
-        # a present native whose coefficients over the coded rows are a unit e_q has
-        # T's column q as its column of T S: unless another shares q, XOR it into coded
-        # payload q instead of multiplying it, and zero its factors, a column matmul skips
-        s = coeffs.take(present, axis=0).take(coded_cols, axis=1)
-        folds = np.flatnonzero(s.sum(axis=1, dtype=np.intp) == 1)
-        _, rows = np.nonzero(s[folds])  # the q of each
-        alone = np.bincount(rows, minlength=n)[rows] == 1  # one XOR applies one of equal qs
-        folds, rows = folds[alone], rows[alone]
-        if len(folds):
-            payloads = payloads.copy()
-            payloads[len(present) + rows] ^= payloads[folds]
-            factors[:, folds] = 0
     for native_idx, payload in zip(missing, gf256.matmul(factors, payloads)):
         natives[native_idx] = payload.tobytes()
     return Generation(symbols=tuple(natives), generation_id=received.generation_id)

@@ -13,7 +13,9 @@ The correction budget in the residual-BER expression is deliberately the
 rate-scaled R_F*t, which is how this model family defines it; see the
 README note on that convention. A residual BER that would come out
 negative means the budget covers every expected error bit and is clamped
-to exactly zero (and then the symbol error rate is zero too).
+to exactly zero (and then the symbol error rate is zero too). Each formula,
+the budget R_F*t among them, is one unchecked plain-number function after
+``derive``, which the checked helpers and ``planner.grid_kernel`` share.
 
 The decode-failure model is here too: with K natives erased i.i.d. at P_s
 and R coded symbols, a generation fails with ``binomial_tail_above(K, P_s, R)``.
@@ -95,29 +97,28 @@ class FecDerived:
 
 def hamming_distance(params: FecParams) -> int:
     """Redundancy bits the FEC adds to one generation block, floored to an int."""
-    bits = params.k * params.s
-    return math.floor(snap(bits / params.code_rate - bits))
+    return _hamming_distance(params.k * params.s, params.code_rate)
 
 
 def correctable_bits(delta_min: int) -> int:
     """Error bits correctable at minimum distance d: the paper's (d-2)/2 for even d and
     (d-1)/2 for odd d, floored at 0, which is max(0, (d-1) // 2) for every integer d >= 0."""
     check_count("delta_min", delta_min, 0)
-    return max(0, (delta_min - 1) // 2)
+    return _correctable_bits(delta_min)
 
 
 def residual_ber(params: FecParams, correctable: int) -> float:
     """Expected per-bit error rate left after spending the correction budget."""
     check_count("correctable", correctable, 0)
-    bits = params.k * params.s
-    return max(0.0, (bits * params.bit_error_rate - params.code_rate * correctable) / bits)
+    budget = _correction_budget(params.code_rate, correctable)
+    return _residual_ber(params.k * params.s, params.bit_error_rate, budget)
 
 
 def residual_ser(p_bit: float, s: int) -> float:
     """Symbol error rate for s independent bits at residual BER ``p_bit``."""
     check_probability("p_bit", p_bit)
     check_count("s", s, 1)
-    return 1.0 - (1.0 - p_bit) ** s
+    return _residual_ser(p_bit, s)
 
 
 def derive(params: FecParams) -> FecDerived:
@@ -131,6 +132,32 @@ def derive(params: FecParams) -> FecDerived:
         residual_ber=pb,
         residual_ser=residual_ser(pb, params.s),
     )
+
+
+# The formulas, one plain-number function each and unchecked: the public helpers above
+# call them after their checks, and planner.grid_kernel calls them once per link shape or
+# once per point. ``bits`` is K*s.
+
+
+def _hamming_distance(bits: int, code_rate: float) -> int:
+    return math.floor(snap(bits / code_rate - bits))
+
+
+def _correctable_bits(delta_min: int) -> int:
+    return max(0, (delta_min - 1) // 2)
+
+
+def _correction_budget(code_rate: float, correctable: int) -> float:
+    """R_F*t, the rate-scaled budget of the residual BER; ``sim.run`` floors it."""
+    return code_rate * correctable
+
+
+def _residual_ber(bits: int, bit_error_rate: float, budget: float) -> float:
+    return max(0.0, (bits * bit_error_rate - budget) / bits)
+
+
+def _residual_ser(p_bit: float, s: int) -> float:
+    return 1.0 - (1.0 - p_bit) ** s
 
 
 def binomial_tail_above(k: int, p: float, r: int) -> float:

@@ -11,6 +11,17 @@ symbols. This module derives, from the FEC residual statistics:
     simultaneously, which exists only while the auxiliary distance stays
     below  K*s*c / (R_F*C_main) + d_main.
 
+Each formula, these and fec's, lives in one unchecked plain-number function
+(``_redundancy``, ``_aux_rate``, ``fec._residual_ber``, ...). The public stage
+helpers check their inputs and call it; ``grid_kernel`` calls it without the
+checks. The kernel takes one link shape (K, s, R_F, C_main), computes what
+the shape fixes once (Hamming distance, correction budget R_F*t, the lane
+terms of ``_lanes``) and returns a function that plans one (p_e, d_main,
+d_aux) point to plain numbers. ``plan`` is its one-point case, and
+``scenario.sweep`` plans a whole grid with one kernel and no LinkParams or
+LinkPlan per point. Every float is computed in the same operation order on
+every path, so they all give the same bits.
+
 All distances are metres, rates bits/second, times seconds. Everything is
 a pure function of immutable inputs; sweep points can be planned in
 parallel without coordination.
@@ -21,7 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fec import FecDerived, FecParams, check_count, check_probability, derive, snap
+from .fec import (  # derive is not called here; bench/tracer.py wraps planner.derive
+    FecDerived, FecParams, _correctable_bits, _correction_budget, _hamming_distance,
+    _residual_ber, _residual_ser, check_count, check_probability, derive, snap,
+)
 
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
 
@@ -78,7 +92,7 @@ def redundancy(residual_ser: float, k: int) -> int:
     """Minimal integer number of coded symbols covering the expected erasures."""
     check_probability("residual_ser", residual_ser)
     check_count("k", k, 1)
-    return max(0, math.ceil(snap(residual_ser * k)))
+    return _redundancy(residual_ser, k)
 
 
 def total_code_rate(k: int, r: int, code_rate: float) -> float:
@@ -87,14 +101,14 @@ def total_code_rate(k: int, r: int, code_rate: float) -> float:
     check_count("r", r, 0)
     if not 0 < code_rate <= 1:
         raise ValueError("code_rate must be in (0, 1]")
-    return code_rate * k / (k + r)
+    return _total_code_rate(k, r, code_rate)
 
 
 def overhead(total_rate: float) -> float:
     """Fraction of transmitted bits that is not payload: 1 - total_rate."""
     if not 0 < total_rate <= 1:
         raise ValueError("total_rate must be in (0, 1]")
-    return 1.0 - total_rate
+    return _overhead(total_rate)
 
 
 def lane_times(link: LinkParams, r: int, aux_rate: float) -> tuple[float, float]:
@@ -105,19 +119,17 @@ def lane_times(link: LinkParams, r: int, aux_rate: float) -> tuple[float, float]
     """
     check_count("r", r, 0)
     p = link.fec
-    t_main = p.k * p.s / (p.code_rate * link.main_rate) + link.main_distance / LIGHT_SPEED
-    if r == 0:
-        return t_main, 0.0
-    if aux_rate <= 0:
-        raise ValueError("auxiliary lane required: redundancy > 0 but its rate is 0")
-    t_aux = r * p.s / (p.code_rate * aux_rate) + link.aux_distance / LIGHT_SPEED
-    return t_main, t_aux
+    _, t_natives, _ = _lanes(p.k, p.s, p.code_rate, link.main_rate)
+    return _lane_times(
+        r, p.s, p.code_rate, t_natives, aux_rate, link.main_distance, link.aux_distance
+    )
 
 
 def aux_distance_bound(link: LinkParams) -> float:
     """Strict upper bound on the auxiliary distance for delay matching."""
     p = link.fec
-    return p.k * p.s * LIGHT_SPEED / (p.code_rate * link.main_rate) + link.main_distance
+    fec_rate, _, _ = _lanes(p.k, p.s, p.code_rate, link.main_rate)
+    return _aux_distance_bound(p.k, p.s, fec_rate, link.main_distance)
 
 
 def aux_rate(link: LinkParams, r: int) -> float:
@@ -130,33 +142,91 @@ def aux_rate(link: LinkParams, r: int) -> float:
     """
     check_count("r", r, 0)
     p = link.fec
-    denom = (
-        p.code_rate * link.main_rate * (link.main_distance - link.aux_distance)
-        + LIGHT_SPEED * p.k * p.s
+    fec_rate, _, reach = _lanes(p.k, p.s, p.code_rate, link.main_rate)
+    return _aux_rate(
+        r, p.k, p.s, link.main_rate, fec_rate, reach, link.main_distance, link.aux_distance
     )
-    if denom <= 0:
-        raise InfeasibleAuxDistanceError(
-            f"auxiliary distance {link.aux_distance} m is not below the "
-            f"feasibility bound {aux_distance_bound(link)} m"
-        )
-    if r == 0:
-        return 0.0
-    return r * p.s * LIGHT_SPEED * link.main_rate / denom
+
+
+def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
+    """The planning chain for one link shape, with what the shape fixes computed once.
+
+    Returns ``(hamming_distance, correctable_bits, point)``. ``point(p_e,
+    main_distance, aux_distance)`` plans one point of the shape and returns
+    ``(residual_ber, residual_ser, redundancy, total_rate, overhead, aux_rate,
+    t_main, t_aux)``, the order of SweepRow's columns after p_e, or raises what
+    ``plan`` raises. The inputs are not checked here: ``plan`` takes them from a
+    LinkParams, ``scenario.sweep`` from a Scenario and a checked p_e.
+    """
+    bits = k * s
+    d = _hamming_distance(bits, code_rate)
+    t = _correctable_bits(d)
+    budget = _correction_budget(code_rate, t)
+    fec_rate, t_natives, reach = _lanes(k, s, code_rate, main_rate)
+
+    def point(p_e: float, main_distance: float, aux_distance: float) -> tuple:
+        pb = _residual_ber(bits, p_e, budget)
+        ps = _residual_ser(pb, s)
+        r = _redundancy(ps, k)
+        rate = _aux_rate(r, k, s, main_rate, fec_rate, reach, main_distance, aux_distance)
+        t_main, t_aux = _lane_times(r, s, code_rate, t_natives, rate, main_distance, aux_distance)
+        rt = _total_code_rate(k, r, code_rate)
+        return pb, ps, r, rt, _overhead(rt), rate, t_main, t_aux
+
+    return d, t, point
 
 
 def plan(link: LinkParams) -> LinkPlan:
     """Run the full chain from FEC statistics to lane timing for one link."""
-    d = derive(link.fec)
-    r = redundancy(d.residual_ser, link.fec.k)
-    rate = aux_rate(link, r)
-    t_main, t_aux = lane_times(link, r, rate)
-    rt = total_code_rate(link.fec.k, r, link.fec.code_rate)
-    return LinkPlan(
-        fec=d,
-        redundancy=r,
-        total_rate=rt,
-        overhead=overhead(rt),
-        aux_rate=rate,
-        t_main=t_main,
-        t_aux=t_aux,
-    )
+    p = link.fec
+    d, t, point = grid_kernel(p.k, p.s, p.code_rate, link.main_rate)
+    pb, ps, *rest = point(p.bit_error_rate, link.main_distance, link.aux_distance)
+    return LinkPlan(FecDerived(d, t, pb, ps), *rest)
+
+
+# The formulas, one plain-number function each and unchecked: the public helpers above
+# call them after their checks, and grid_kernel once per link shape or once per point.
+
+
+def _lanes(k: int, s: int, code_rate: float, main_rate: float) -> tuple[float, float, float]:
+    """The lane terms that only the link shape sets: R_F*C_main, the natives'
+    transmission time K*s/(R_F*C_main), and c*K*s."""
+    fec_rate = code_rate * main_rate
+    return fec_rate, k * s / fec_rate, LIGHT_SPEED * k * s
+
+
+def _redundancy(residual_ser: float, k: int) -> int:
+    return max(0, math.ceil(snap(residual_ser * k)))
+
+
+def _total_code_rate(k: int, r: int, code_rate: float) -> float:
+    return code_rate * k / (k + r)
+
+
+def _overhead(total_rate: float) -> float:
+    return 1.0 - total_rate
+
+
+def _aux_distance_bound(k: int, s: int, fec_rate: float, main_distance: float) -> float:
+    return k * s * LIGHT_SPEED / fec_rate + main_distance
+
+
+def _aux_rate(r, k, s, main_rate, fec_rate, reach, main_distance, aux_distance) -> float:
+    denom = fec_rate * (main_distance - aux_distance) + reach
+    if denom <= 0:
+        raise InfeasibleAuxDistanceError(
+            f"auxiliary distance {aux_distance} m is not below the feasibility bound "
+            f"{_aux_distance_bound(k, s, fec_rate, main_distance)} m"
+        )
+    if r == 0:
+        return 0.0
+    return r * s * LIGHT_SPEED * main_rate / denom
+
+
+def _lane_times(r, s, code_rate, t_natives, aux_rate, main_distance, aux_distance):
+    t_main = t_natives + main_distance / LIGHT_SPEED
+    if r == 0:
+        return t_main, 0.0
+    if aux_rate <= 0:
+        raise ValueError("auxiliary lane required: redundancy > 0 but its rate is 0")
+    return t_main, r * s / (code_rate * aux_rate) + aux_distance / LIGHT_SPEED

@@ -42,8 +42,10 @@ from operator import attrgetter, index
 from typing import get_type_hints
 
 from .bertable import BerTable, rewrite
-from .fec import FecParams, check_seed, is_integer, snap
-from .planner import InfeasibleAuxDistanceError, LinkParams, main_rate_from_baud, plan
+from .fec import FecParams, check_probability, check_seed, is_integer, snap
+from .planner import (
+    InfeasibleAuxDistanceError, LinkParams, grid_kernel, main_rate_from_baud, plan,
+)
 
 AUX_POLICIES = ("fixed", "equal_to_main")
 
@@ -107,8 +109,13 @@ class Scenario:
     def distances_cm(self) -> list[float]:
         return [self.d_start_cm + i * self.d_step_cm for i in range(self.grid_size())]
 
-    def link_for(self, d_main_cm: float, bit_error_rate: float) -> LinkParams:
+    def lane_distances(self, d_main_cm: float) -> tuple[float, float]:
+        """The main- and auxiliary-lane distances in metres at main distance ``d_main_cm``."""
         aux_cm = d_main_cm if self.aux_policy == "equal_to_main" else self.aux_distance_cm
+        return d_main_cm / 100.0, aux_cm / 100.0
+
+    def link_for(self, d_main_cm: float, bit_error_rate: float) -> LinkParams:
+        main_distance, aux_distance = self.lane_distances(d_main_cm)
         return LinkParams(
             fec=FecParams(
                 k=self.k,
@@ -117,8 +124,8 @@ class Scenario:
                 bit_error_rate=bit_error_rate,
             ),
             main_rate=self.main_rate,
-            main_distance=d_main_cm / 100.0,
-            aux_distance=aux_cm / 100.0,
+            main_distance=main_distance,
+            aux_distance=aux_distance,
         )
 
 
@@ -254,41 +261,42 @@ class RowError:
     message: str
 
 
-def _plans(sc: Scenario, table: BerTable, interpolate: bool, errors: list[RowError]):
-    """Yield ``(grid index, d, p_e, link, plan)`` for each feasible grid distance, in order,
-    and append a RowError to ``errors`` for each infeasible one. ``plan`` is called through
-    the module global, so a caller can wrap or replace ``scenario.plan`` to see every call."""
+def _plans(sc: Scenario, table: BerTable, interpolate: bool, errors: list[RowError], plan_point):
+    """The grid walk: yield ``(grid index, d, p_e, plan_point(d, p_e))`` for each feasible
+    grid distance, in order, and append a RowError to ``errors`` for each distance where
+    ``plan_point`` raises InfeasibleAuxDistanceError. ``sweep`` plans each point with one
+    ``planner.grid_kernel`` and calls no ``plan``; ``simulate`` calls ``plan`` through the
+    module global, so a caller can wrap or replace ``scenario.plan`` to see every call of a
+    simulation."""
     for i, d in enumerate(sc.distances_cm()):
         p_e = table.lookup(sc.channel, sc.modulation, d, interpolate=interpolate)
-        link = sc.link_for(d, p_e)
         try:
-            lp = plan(link)
+            planned = plan_point(d, p_e)
         except InfeasibleAuxDistanceError as exc:
             errors.append(RowError(d_main_cm=d, message=str(exc)))
             continue
-        yield i, d, p_e, link, lp
+        yield i, d, p_e, planned
 
 
 def sweep(
     sc: Scenario, table: BerTable, interpolate: bool = False
 ) -> tuple[list[SweepRow], list[RowError]]:
-    """Plan every grid distance; infeasible points become recorded errors."""
+    """Plan every grid distance; infeasible points become recorded errors.
+
+    One ``planner.grid_kernel`` plans the whole grid: the scenario fixes the link
+    shape, and ``__post_init__`` has checked its rules and every grid distance's, so
+    each point checks only its p_e, as FecParams would, and builds only its SweepRow.
+    """
+    _, _, point = grid_kernel(sc.k, sc.s, sc.code_rate, sc.main_rate)
+    lane_distances = sc.lane_distances
+
+    def plan_point(d, p_e):
+        check_probability("bit_error_rate", p_e)
+        return point(p_e, *lane_distances(d))
+
     errors: list[RowError] = []
-    rows = [
-        SweepRow(
-            d_main_cm=d,
-            p_e=p_e,
-            p_residual_bit=lp.fec.residual_ber,
-            p_residual_symbol=lp.fec.residual_ser,
-            redundancy=lp.redundancy,
-            total_rate=lp.total_rate,
-            overhead=lp.overhead,
-            aux_rate_bps=lp.aux_rate,
-            t_main_s=lp.t_main,
-            t_aux_s=lp.t_aux,
-        )
-        for _, d, p_e, _, lp in _plans(sc, table, interpolate, errors)
-    ]
+    planned = _plans(sc, table, interpolate, errors, plan_point)
+    rows = [SweepRow(d, p_e, *values) for _, d, p_e, values in planned]
     return rows, errors
 
 
@@ -304,7 +312,7 @@ def write_rows_csv(path_or_file, columns, rows_of_values) -> None:
     with nullcontext(path_or_file) if is_file else rewrite(path_or_file) as f:
         f.write(",".join(columns) + "\n")
         for values in rows_of_values:
-            f.write(",".join(_format(v) for v in values) + "\n")
+            f.write(",".join(map(_format, values)) + "\n")
 
 
 def write_sweep_csv(rows: list[SweepRow], path_or_file) -> None:
@@ -404,9 +412,14 @@ def simulate(
     if seed is not None:
         sc = replace(sc, seed=seed)
     per_run = {"generations": generations, "rng_seed": sc.seed, "error_mode": mode}
+
+    def plan_point(d, p_e):  # SimConfig takes the link and its LinkPlan
+        link = sc.link_for(d, p_e)
+        return link, plan(link)
+
     rows: list[SimRow] = []
     errors: list[RowError] = []
-    for i, d, p_e, link, lp in _plans(sc, table, interpolate, errors):
+    for i, d, p_e, (link, lp) in _plans(sc, table, interpolate, errors, plan_point):
         report = run(SimConfig(link=link, plan=lp, distance_index=i, **per_run))
         rows.append(
             SimRow(

@@ -59,7 +59,7 @@ from .codec import (
     make_coefficients,
     row_reduce,
 )
-from .fec import ERROR_MODES, check_count, check_probability, check_seed, snap
+from .fec import ERROR_MODES, _correction_budget, check_count, check_probability, check_seed, snap
 from .planner import LinkParams, LinkPlan
 
 CHUNK = 16  # generations per random stream; part of the stream contract
@@ -140,7 +140,8 @@ def run(cfg: SimConfig) -> SimReport:
     seed, distance = int(cfg.rng_seed), int(cfg.distance_index)
     streams = (np.random.SeedSequence(seed, spawn_key=(distance, key)) for key in count())
     coeffs = row_reduce(make_coefficients(k, r, seed=next(streams)))
-    budget = math.floor(snap(fec.code_rate * cfg.plan.fec.correctable_bits))  # bit-level only
+    # bit-level only
+    budget = math.floor(snap(_correction_budget(fec.code_rate, cfg.plan.fec.correctable_bits)))
     per_block = max(1, BLOCK_BYTES // length)
     report = SimReport(sent_generations=n)
     histogram = report.received_histogram

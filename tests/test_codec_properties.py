@@ -142,10 +142,9 @@ def long_generations(draw, length):
 @PROPERTY
 @given(data=st.data())
 def test_long_payloads_encode_and_decode_like_the_references(length, data):
-    # long payloads skip zero and unit coefficient columns and fold a present native
-    # whose coefficients are a unit e_q into coded payload q; none of that may change
-    # the coded bytes, the outcome, the natives or the elimination steps; 255 bytes is
-    # just below gf256.LONG and 1031 is odd and past 1 KiB
+    # long payloads skip zero coefficient columns and XOR in unit ones; that may change
+    # neither the coded bytes, the outcome, the natives nor the elimination steps; 255
+    # bytes is just below gf256.LONG and 1031 is odd and past 1 KiB
     gen, coeffs = data.draw(long_generations(length))
     k, r = coeffs.shape
     natives = np.frombuffer(b"".join(gen.symbols), dtype=np.uint8).reshape(k, -1)
@@ -153,7 +152,7 @@ def test_long_payloads_encode_and_decode_like_the_references(length, data):
     assert coded == tuple(map(bytes, matmul_ref(coeffs.T, natives)))
 
     # erasures drawn from a permutation, not as small indices first: an echelon form's
-    # pivot natives lead, and only a lost free native makes a fold count
+    # pivot natives lead, and only a lost free native leaves decode a product to make
     e = data.draw(st.integers(0, min(k, r + 1)))
     erased = set(data.draw(st.permutations(range(k)))[:e])
     dropped = data.draw(st.sets(st.integers(0, r - 1), max_size=2)) if r else set()
@@ -191,9 +190,9 @@ def test_long_payloads_with_shared_unit_rows_encode_and_decode_like_the_referenc
     length, data
 ):
     # natives with one unit row e_q, two or more per q: as columns of C.T they are unit
-    # columns that share row q, and present they fold onto coded payload q; one
-    # fancy-indexed XOR applies only one of two equal indices, so these must be
-    # multiplied, while a unit row alone on its q is still XORed
+    # columns that share row q of encode's product; one fancy-indexed XOR applies only
+    # one of two equal indices, so these must be multiplied, while a unit row alone on
+    # its q is still XORed
     k, r = data.draw(st.integers(3, 14)), data.draw(st.integers(1, 12))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     coeffs = rng.integers(0, 256, (k, r), dtype=np.uint8)
@@ -208,7 +207,7 @@ def test_long_payloads_with_shared_unit_rows_encode_and_decode_like_the_referenc
     coded = codec.encode(gen, coeffs)
     assert coded == tuple(map(bytes, matmul_ref(coeffs.T, natives)))
 
-    # lose only natives without a unit row, so that the tied ones fold
+    # lose only natives without a unit row, so that the tied ones stay present
     lost = set(order[tied:][: data.draw(st.integers(1, min(k - tied, r)))])
     entries = [ReceivedSymbol("native", i, gen.symbols[i]) for i in range(k) if i not in lost]
     entries += [ReceivedSymbol("coded", j, p) for j, p in enumerate(coded)]
