@@ -14,8 +14,8 @@ rate-scaled R_F*t, which is how this model family defines it; see the
 README note on that convention. A residual BER that would come out
 negative means the budget covers every expected error bit and is clamped
 to exactly zero (and then the symbol error rate is zero too). Each formula,
-the budget R_F*t among them, is one unchecked plain-number function after
-``derive``, which the checked helpers and ``planner.grid_kernel`` share.
+the budget R_F*t among them, has one function, which the checked helpers and
+``planner.grid_kernel`` share.
 
 The decode-failure model is here too: with K natives erased i.i.d. at P_s
 and R coded symbols, a generation fails with ``binomial_tail_above(K, P_s, R)``.
@@ -104,7 +104,7 @@ def correctable_bits(delta_min: int) -> int:
     """Error bits correctable at minimum distance d: the paper's (d-2)/2 for even d and
     (d-1)/2 for odd d, floored at 0, which is max(0, (d-1) // 2) for every integer d >= 0."""
     check_count("delta_min", delta_min, 0)
-    return _correctable_bits(delta_min)
+    return max(0, (delta_min - 1) // 2)
 
 
 def residual_ber(params: FecParams, correctable: int) -> float:
@@ -134,17 +134,12 @@ def derive(params: FecParams) -> FecDerived:
     )
 
 
-# The formulas, one plain-number function each and unchecked: the public helpers above
-# call them after their checks, and planner.grid_kernel calls them once per link shape or
-# once per point. ``bits`` is K*s.
+# The formulas that planner.grid_kernel evaluates unchecked, one plain-number function
+# each; the helpers above call them after their checks. ``bits`` is K*s.
 
 
 def _hamming_distance(bits: int, code_rate: float) -> int:
     return math.floor(snap(bits / code_rate - bits))
-
-
-def _correctable_bits(delta_min: int) -> int:
-    return max(0, (delta_min - 1) // 2)
 
 
 def _correction_budget(code_rate: float, correctable: int) -> float:

@@ -11,16 +11,12 @@ symbols. This module derives, from the FEC residual statistics:
     simultaneously, which exists only while the auxiliary distance stays
     below  K*s*c / (R_F*C_main) + d_main.
 
-Each formula, these and fec's, lives in one unchecked plain-number function
-(``_redundancy``, ``_aux_rate``, ``fec._residual_ber``, ...). The public stage
-helpers check their inputs and call it; ``grid_kernel`` calls it without the
-checks. The kernel takes one link shape (K, s, R_F, C_main), computes what
-the shape fixes once (Hamming distance, correction budget R_F*t, the lane
-terms of ``_lanes``) and returns a function that plans one (p_e, d_main,
-d_aux) point to plain numbers. ``plan`` is its one-point case, and
-``scenario.sweep`` plans a whole grid with one kernel and no LinkParams or
-LinkPlan per point. Every float is computed in the same operation order on
-every path, so they all give the same bits.
+Each formula, these and fec's, is one plain-number function that the public
+stage helpers call after their checks. ``grid_kernel`` calls the same ones: it
+computes what a link shape (K, s, R_F, C_main) fixes once (Hamming distance,
+budget R_F*t, the lane terms) and plans each (p_e, d_main, d_aux) point to
+plain numbers, so ``plan``, its one-point case, and ``scenario.sweep`` give the
+same floats, and a sweep builds no LinkParams or LinkPlan per point.
 
 All distances are metres, rates bits/second, times seconds. Everything is
 a pure function of immutable inputs; sweep points can be planned in
@@ -33,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .fec import (  # derive is not called here; bench/tracer.py wraps planner.derive
-    FecDerived, FecParams, _correctable_bits, _correction_budget, _hamming_distance,
-    _residual_ber, _residual_ser, check_count, check_probability, derive, snap,
+    FecDerived, FecParams, _correction_budget, _hamming_distance, _residual_ber,
+    _residual_ser, check_count, check_probability, correctable_bits, derive, snap,
 )
 
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
@@ -160,7 +156,7 @@ def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
     """
     bits = k * s
     d = _hamming_distance(bits, code_rate)
-    t = _correctable_bits(d)
+    t = correctable_bits(d)
     budget = _correction_budget(code_rate, t)
     fec_rate, t_natives, reach = _lanes(k, s, code_rate, main_rate)
 
@@ -184,8 +180,8 @@ def plan(link: LinkParams) -> LinkPlan:
     return LinkPlan(FecDerived(d, t, pb, ps), *rest)
 
 
-# The formulas, one plain-number function each and unchecked: the public helpers above
-# call them after their checks, and grid_kernel once per link shape or once per point.
+# The formulas that grid_kernel evaluates unchecked, one plain-number function each; the
+# helpers above call them after their checks.
 
 
 def _lanes(k: int, s: int, code_rate: float, main_rate: float) -> tuple[float, float, float]:
