@@ -288,11 +288,10 @@ def sweep(
     each point checks only its p_e, as FecParams would, and builds only its SweepRow.
     """
     _, _, point = grid_kernel(sc.k, sc.s, sc.code_rate, sc.main_rate)
-    lane_distances = sc.lane_distances
 
     def plan_point(d, p_e):
         check_probability("bit_error_rate", p_e)
-        return point(p_e, *lane_distances(d))
+        return point(p_e, *sc.lane_distances(d))
 
     errors: list[RowError] = []
     planned = _plans(sc, table, interpolate, errors, plan_point)
