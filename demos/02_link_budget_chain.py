@@ -3,7 +3,9 @@
 Runs the analytic chain (FEC correction budget -> residual BER/SER ->
 redundancy -> combined rate/overhead -> auxiliary rate and lane timing)
 for the default configuration K=30, s=8, code rate 0.8, and shows how the
-plan reacts as the channel degrades.
+plan reacts as the channel degrades. ``fec.derive`` gives the FEC stages,
+``planner.plan`` the whole chain, and ``planner.aux_distance_bound`` the
+one stage quantity a plan does not hold.
 """
 
 import os
@@ -23,8 +25,8 @@ print("=" * 72)
 print(f"FEC CORRECTION BUDGET (K={K}, s={S}, code rate {RATE})")
 print("=" * 72)
 base = FecParams(k=K, s=S, code_rate=RATE, bit_error_rate=0.2)
-d = fec.hamming_distance(base)
-t = fec.correctable_bits(d)
+derived = fec.derive(base)
+d, t = derived.hamming_distance, derived.correctable_bits
 threshold = RATE * t / (K * S)
 print(f"minimum Hamming distance: {d} bits")
 print(f"correctable bits per generation block: {t}")
@@ -67,15 +69,13 @@ print()
 print("with equal lane distances the matched rate no longer depends on distance:")
 for d_main in (2.0, 6.5, 20.0):
     eq = LinkParams(fec=base, main_rate=MAIN_RATE, main_distance=d_main, aux_distance=d_main)
-    rate = planner.aux_rate(eq, lp.redundancy)
+    rate = planner.plan(eq).aux_rate
     print(f"  d_main = d_aux = {d_main:5.1f} m -> C_aux = {rate:.6e} bps"
           f"  (= main_rate * R / K = {MAIN_RATE * lp.redundancy / K:.6e})")
 
 print()
 print("pushing the auxiliary lane past the bound fails loudly:")
 try:
-    planner.aux_rate(
-        LinkParams(fec=base, main_rate=MAIN_RATE, main_distance=1.0, aux_distance=2.0), 5
-    )
+    planner.plan(LinkParams(fec=base, main_rate=MAIN_RATE, main_distance=1.0, aux_distance=2.0))
 except planner.InfeasibleAuxDistanceError as exc:
     print(f"  InfeasibleAuxDistanceError: {exc}")

@@ -2,9 +2,9 @@
 
 No concrete FEC scheme is simulated. A code of rate R_F protecting a
 generation of K symbols of s bits is abstracted into four derived
-quantities, computed in order:
+quantities, computed in order by ``derive``:
 
-  minimum Hamming distance   d = K*s/R_F - K*s
+  minimum Hamming distance   d = K*s/R_F - K*s, floored
   correctable bits           t = (d-2)/2 if d even else (d-1)/2, floored at 0
   residual bit error rate    max(0, (K*s*p_e - R_F*t) / (K*s))
   residual symbol error rate 1 - (1 - residual_ber)^s
@@ -13,9 +13,10 @@ The correction budget in the residual-BER expression is deliberately the
 rate-scaled R_F*t, which is how this model family defines it; see the
 README note on that convention. A residual BER that would come out
 negative means the budget covers every expected error bit and is clamped
-to exactly zero (and then the symbol error rate is zero too). Each formula,
-the budget R_F*t among them, has one function, which the checked helpers and
-``planner.grid_kernel`` share.
+to exactly zero (and then the symbol error rate is zero too). Each formula
+but t's is one unchecked plain-number function that ``derive`` and
+``planner.grid_kernel`` share; ``correctable_bits`` is public and checks its
+distance.
 
 The decode-failure model is here too: with K natives erased i.i.d. at P_s
 and R coded symbols, a generation fails with ``binomial_tail_above(K, P_s, R)``.
@@ -95,11 +96,6 @@ class FecDerived:
     residual_ser: float
 
 
-def hamming_distance(params: FecParams) -> int:
-    """Redundancy bits the FEC adds to one generation block, floored to an int."""
-    return _hamming_distance(params.k * params.s, params.code_rate)
-
-
 def correctable_bits(delta_min: int) -> int:
     """Error bits correctable at minimum distance d: the paper's (d-2)/2 for even d and
     (d-1)/2 for odd d, floored at 0, which is max(0, (d-1) // 2) for every integer d >= 0."""
@@ -107,35 +103,21 @@ def correctable_bits(delta_min: int) -> int:
     return max(0, (delta_min - 1) // 2)
 
 
-def residual_ber(params: FecParams, correctable: int) -> float:
-    """Expected per-bit error rate left after spending the correction budget."""
-    check_count("correctable", correctable, 0)
-    budget = _correction_budget(params.code_rate, correctable)
-    return _residual_ber(params.k * params.s, params.bit_error_rate, budget)
-
-
-def residual_ser(p_bit: float, s: int) -> float:
-    """Symbol error rate for s independent bits at residual BER ``p_bit``."""
-    check_probability("p_bit", p_bit)
-    check_count("s", s, 1)
-    return _residual_ser(p_bit, s)
-
-
 def derive(params: FecParams) -> FecDerived:
     """Run the four-stage chain on one parameter set."""
-    d = hamming_distance(params)
+    bits = params.k * params.s
+    d = _hamming_distance(bits, params.code_rate)
     t = correctable_bits(d)
-    pb = residual_ber(params, t)
+    pb = _residual_ber(bits, params.bit_error_rate, _correction_budget(params.code_rate, t))
     return FecDerived(
         hamming_distance=d,
         correctable_bits=t,
         residual_ber=pb,
-        residual_ser=residual_ser(pb, params.s),
+        residual_ser=_residual_ser(pb, params.s),
     )
 
 
-# The formulas that planner.grid_kernel evaluates unchecked, one plain-number function
-# each; the helpers above call them after their checks. ``bits`` is K*s.
+# The formulas that derive and planner.grid_kernel share, unchecked. ``bits`` is K*s.
 
 
 def _hamming_distance(bits: int, code_rate: float) -> int:

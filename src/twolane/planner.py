@@ -2,21 +2,21 @@
 
 The main lane carries the K native symbols of each generation at high rate
 over distance d_main; an error-free auxiliary lane carries the R coded
-symbols. This module derives, from the FEC residual statistics:
+symbols. From the FEC residual statistics (``fec``) the planner derives:
 
   * the minimal redundancy R = ceil(P_s * K),
   * the combined code rate R_F*K/(K+R) and its overhead complement,
   * per-lane total delays (transmission plus propagation),
   * the auxiliary rate that makes both lanes of one generation arrive
     simultaneously, which exists only while the auxiliary distance stays
-    below  K*s*c / (R_F*C_main) + d_main.
+    below  K*s*c / (R_F*C_main) + d_main  (``aux_distance_bound``).
 
-Each formula, these and fec's, is one plain-number function that the public
-stage helpers call after their checks. ``grid_kernel`` calls the same ones: it
-computes what a link shape (K, s, R_F, C_main) fixes once (Hamming distance,
-budget R_F*t, the lane terms) and plans each (p_e, d_main, d_aux) point to
-plain numbers, so ``plan``, its one-point case, and ``scenario.sweep`` give the
-same floats, and a sweep builds no LinkParams or LinkPlan per point.
+``grid_kernel`` is the one planning path. For a link shape (K, s, R_F, C_main)
+it computes the Hamming distance, the budget R_F*t and the lane terms once and
+returns a function that plans one (p_e, d_main, d_aux) point to plain numbers,
+with each formula written out in its operation order. ``plan`` is its
+one-point case, and ``scenario.sweep`` builds no LinkParams or LinkPlan per
+point, so both give the same floats.
 
 All distances are metres, rates bits/second, times seconds. Everything is
 a pure function of immutable inputs; sweep points can be planned in
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .fec import (  # derive is not called here; bench/tracer.py wraps planner.derive
     FecDerived, FecParams, _correction_budget, _hamming_distance, _residual_ber,
-    _residual_ser, check_count, check_probability, correctable_bits, derive, snap,
+    _residual_ser, check_count, correctable_bits, derive, snap,
 )
 
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
@@ -55,6 +55,19 @@ class LinkParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.main_rate <= 0:
             raise ValueError("main_rate must be > 0")
+        # So that a plan is finite or raises: the bound's term K*s*c/(R_F*C_main) is c times
+        # the natives' transmission time, which bounds T_main and T_aux, and C_aux is
+        # R*s*c*C_main over a denominator that adds a term of opposite sign to c*K*s >= 2**28,
+        # so is at least 2**-25 when positive.
+        k, s, fec_rate = self.fec.k, self.fec.s, self.fec.code_rate * self.main_rate
+        if not (
+            fec_rate > 0
+            and math.isfinite(k * s * LIGHT_SPEED / fec_rate)
+            and math.isfinite(k * s * LIGHT_SPEED * self.main_rate * 2**25)
+        ):
+            raise ValueError(
+                f"main_rate must keep lane times and auxiliary rates finite, got {self.main_rate!r}"
+            )
         for name in ("main_distance", "aux_distance"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -84,64 +97,10 @@ def main_rate_from_baud(baud_rate: float, bits_per_symbol: int) -> float:
     return rate
 
 
-def redundancy(residual_ser: float, k: int) -> int:
-    """Minimal integer number of coded symbols covering the expected erasures."""
-    check_probability("residual_ser", residual_ser)
-    check_count("k", k, 1)
-    return _redundancy(residual_ser, k)
-
-
-def total_code_rate(k: int, r: int, code_rate: float) -> float:
-    """Combined rate of FEC and coding redundancy: code_rate * k / (k + r)."""
-    check_count("k", k, 1)
-    check_count("r", r, 0)
-    if not 0 < code_rate <= 1:
-        raise ValueError("code_rate must be in (0, 1]")
-    return _total_code_rate(k, r, code_rate)
-
-
-def overhead(total_rate: float) -> float:
-    """Fraction of transmitted bits that is not payload: 1 - total_rate."""
-    if not 0 < total_rate <= 1:
-        raise ValueError("total_rate must be in (0, 1]")
-    return _overhead(total_rate)
-
-
-def lane_times(link: LinkParams, r: int, aux_rate: float) -> tuple[float, float]:
-    """Total per-generation delay (transmission + propagation) of each lane.
-
-    With no redundancy there is no auxiliary transmission and t_aux is
-    reported as 0.
-    """
-    check_count("r", r, 0)
-    p = link.fec
-    _, t_natives, _ = _lanes(p.k, p.s, p.code_rate, link.main_rate)
-    return _lane_times(
-        r, p.s, p.code_rate, t_natives, aux_rate, link.main_distance, link.aux_distance
-    )
-
-
 def aux_distance_bound(link: LinkParams) -> float:
     """Strict upper bound on the auxiliary distance for delay matching."""
     p = link.fec
-    fec_rate, _, _ = _lanes(p.k, p.s, p.code_rate, link.main_rate)
-    return _aux_distance_bound(p.k, p.s, fec_rate, link.main_distance)
-
-
-def aux_rate(link: LinkParams, r: int) -> float:
-    """Auxiliary rate that lands both lanes of a generation simultaneously.
-
-    Zero exactly when r is zero (no auxiliary lane is established). Raises
-    InfeasibleAuxDistanceError when the auxiliary distance is not strictly
-    below aux_distance_bound(), where the matching rate would diverge or
-    turn negative.
-    """
-    check_count("r", r, 0)
-    p = link.fec
-    fec_rate, _, reach = _lanes(p.k, p.s, p.code_rate, link.main_rate)
-    return _aux_rate(
-        r, p.k, p.s, link.main_rate, fec_rate, reach, link.main_distance, link.aux_distance
-    )
+    return _aux_distance_bound(p.k, p.s, p.code_rate * link.main_rate, link.main_distance)
 
 
 def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
@@ -150,24 +109,40 @@ def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
     Returns ``(hamming_distance, correctable_bits, point)``. ``point(p_e,
     main_distance, aux_distance)`` plans one point of the shape and returns
     ``(residual_ber, residual_ser, redundancy, total_rate, overhead, aux_rate,
-    t_main, t_aux)``, the order of SweepRow's columns after p_e, or raises what
-    ``plan`` raises. The inputs are not checked here: ``plan`` takes them from a
-    LinkParams, ``scenario.sweep`` from a Scenario and a checked p_e.
+    t_main, t_aux)``, the order of SweepRow's columns after p_e. It raises
+    InfeasibleAuxDistanceError when the auxiliary distance is not strictly below
+    the bound, where the matching rate would diverge or turn negative. The inputs
+    are not checked here: ``plan`` takes them from a LinkParams, ``scenario.sweep``
+    from a Scenario and a checked p_e.
     """
     bits = k * s
     d = _hamming_distance(bits, code_rate)
     t = correctable_bits(d)
     budget = _correction_budget(code_rate, t)
-    fec_rate, t_natives, reach = _lanes(k, s, code_rate, main_rate)
+    fec_rate = code_rate * main_rate
+    t_natives = k * s / fec_rate  # transmission time of the natives on the main lane
+    reach = LIGHT_SPEED * k * s
 
     def point(p_e: float, main_distance: float, aux_distance: float) -> tuple:
         pb = _residual_ber(bits, p_e, budget)
         ps = _residual_ser(pb, s)
-        r = _redundancy(ps, k)
-        rate = _aux_rate(r, k, s, main_rate, fec_rate, reach, main_distance, aux_distance)
-        t_main, t_aux = _lane_times(r, s, code_rate, t_natives, rate, main_distance, aux_distance)
-        rt = _total_code_rate(k, r, code_rate)
-        return pb, ps, r, rt, _overhead(rt), rate, t_main, t_aux
+        r = max(0, math.ceil(snap(ps * k)))  # the fewest coded symbols covering P_s*K
+        denom = fec_rate * (main_distance - aux_distance) + reach
+        if denom <= 0:
+            raise InfeasibleAuxDistanceError(
+                f"auxiliary distance {aux_distance} m is not below the feasibility bound "
+                f"{_aux_distance_bound(k, s, fec_rate, main_distance)} m"
+            )
+        t_main = t_natives + main_distance / LIGHT_SPEED
+        if r == 0:  # no auxiliary transmission: its rate and delay are reported as 0
+            rate = t_aux = 0.0
+        else:
+            rate = r * s * LIGHT_SPEED * main_rate / denom  # lands both lanes together
+            if rate <= 0:
+                raise ValueError("auxiliary lane required: redundancy > 0 but its rate is 0")
+            t_aux = r * s / (code_rate * rate) + aux_distance / LIGHT_SPEED
+        total_rate = code_rate * k / (k + r)
+        return pb, ps, r, total_rate, 1.0 - total_rate, rate, t_main, t_aux
 
     return d, t, point
 
@@ -180,49 +155,5 @@ def plan(link: LinkParams) -> LinkPlan:
     return LinkPlan(FecDerived(d, t, pb, ps), *rest)
 
 
-# The formulas that grid_kernel evaluates unchecked, one plain-number function each; the
-# helpers above call them after their checks.
-
-
-def _lanes(k: int, s: int, code_rate: float, main_rate: float) -> tuple[float, float, float]:
-    """The lane terms that only the link shape sets: R_F*C_main, the natives'
-    transmission time K*s/(R_F*C_main), and c*K*s."""
-    fec_rate = code_rate * main_rate
-    return fec_rate, k * s / fec_rate, LIGHT_SPEED * k * s
-
-
-def _redundancy(residual_ser: float, k: int) -> int:
-    return max(0, math.ceil(snap(residual_ser * k)))
-
-
-def _total_code_rate(k: int, r: int, code_rate: float) -> float:
-    return code_rate * k / (k + r)
-
-
-def _overhead(total_rate: float) -> float:
-    return 1.0 - total_rate
-
-
 def _aux_distance_bound(k: int, s: int, fec_rate: float, main_distance: float) -> float:
     return k * s * LIGHT_SPEED / fec_rate + main_distance
-
-
-def _aux_rate(r, k, s, main_rate, fec_rate, reach, main_distance, aux_distance) -> float:
-    denom = fec_rate * (main_distance - aux_distance) + reach
-    if denom <= 0:
-        raise InfeasibleAuxDistanceError(
-            f"auxiliary distance {aux_distance} m is not below the feasibility bound "
-            f"{_aux_distance_bound(k, s, fec_rate, main_distance)} m"
-        )
-    if r == 0:
-        return 0.0
-    return r * s * LIGHT_SPEED * main_rate / denom
-
-
-def _lane_times(r, s, code_rate, t_natives, aux_rate, main_distance, aux_distance):
-    t_main = t_natives + main_distance / LIGHT_SPEED
-    if r == 0:
-        return t_main, 0.0
-    if aux_rate <= 0:
-        raise ValueError("auxiliary lane required: redundancy > 0 but its rate is 0")
-    return t_main, r * s / (code_rate * aux_rate) + aux_distance / LIGHT_SPEED

@@ -2,7 +2,8 @@
 
 The GF(2^8) reference here is deliberately independent of the library's
 table-based implementation: carry-less polynomial multiply followed by
-explicit modular reduction, no lookup tables.
+explicit modular reduction, no lookup tables. The planning reference,
+``reference_chain``, writes the paper's chain out in one function.
 """
 
 import math
@@ -55,6 +56,42 @@ def not_full_rank_rate(k: int, p_erase: float, r: int, q: int = 256) -> float:
         full_rank = math.prod(1 - q ** (i - r) for i in range(m))
         rate += math.comb(k, m) * p_erase**m * (1 - p_erase) ** (k - m) * (1 - full_rank)
     return rate
+
+
+LIGHT_SPEED = 3e8  # m/s, the propagation speed the model fixes for both lanes
+
+
+def reference_chain(k, s, code_rate, p_e, main_rate=None, main_distance=0.0, aux_distance=0.0):
+    """The planning chain written out, each formula in the operation order the package
+    documents, so that its floats equal the package's bit for bit.
+
+    Returns (d, t, P_b, P_s, R, R_T, theta) and, given a main_rate, these followed by
+    (bound, C_aux, T_main, T_aux), where C_aux, T_main and T_aux are None when the
+    auxiliary distance is not strictly below the bound.
+    """
+    bits = k * s
+    raw = bits / code_rate - bits
+    near = round(raw)
+    d = near if abs(raw - near) < 1e-9 else math.floor(raw)
+    t = max(0, (d - 2) // 2) if d % 2 == 0 else (d - 1) // 2
+    pb = max(0.0, (bits * p_e - code_rate * t) / bits)
+    ps = 1.0 - (1.0 - pb) ** s
+    raw_r = ps * k
+    near_r = round(raw_r)
+    r = near_r if abs(raw_r - near_r) < 1e-9 else math.ceil(raw_r)
+    rt = code_rate * k / (k + r)
+    chain = (d, t, pb, ps, r, rt, 1.0 - rt)
+    if main_rate is None:
+        return chain
+    c = LIGHT_SPEED
+    bound = k * s * c / (code_rate * main_rate) + main_distance
+    denom = code_rate * main_rate * (main_distance - aux_distance) + c * k * s
+    if denom <= 0:
+        return (*chain, bound, None, None, None)
+    rate = r * s * c * main_rate / denom if r else 0.0
+    t_main = k * s / (code_rate * main_rate) + main_distance / c
+    t_aux = r * s / (code_rate * rate) + aux_distance / c if r else 0.0
+    return (*chain, bound, rate, t_main, t_aux)
 
 
 def scenario_text(

@@ -18,7 +18,7 @@ from twolane.fec import FecParams
 from twolane.planner import LinkParams
 from twolane.scenario import read_sweep_csv
 
-from conftest import gf_mul_ref, not_full_rank_rate, scenario_text
+from conftest import gf_mul_ref, not_full_rank_rate, reference_chain, scenario_text
 
 
 def criterion(name):
@@ -51,7 +51,7 @@ def headline_link(ber=0.2):
 @criterion("headline constants")
 def test_headline_constants():
     """hamming_distance = 60 and correctable_bits = 29, exactly."""
-    d = fec.hamming_distance(headline_params(0.2))
+    d = fec.derive(headline_params(0.2)).hamming_distance
     assert d == 60
     assert fec.correctable_bits(d) == 29
 
@@ -69,22 +69,7 @@ def test_clamp_threshold():
 
 @criterion("equation-chain oracle (10^4 draws, 1e-12 relative)")
 def test_equation_chain_oracle():
-    """Staged pipeline matches an independent one-expression chain."""
-
-    def oracle(k, s, rate, ber):
-        bits = k * s
-        raw = bits / rate - bits
-        near = round(raw)
-        d = int(near) if abs(raw - near) < 1e-9 else math.floor(raw)
-        t = max(0, (d - 2) // 2) if d % 2 == 0 else (d - 1) // 2
-        pb = max(0.0, (bits * ber - rate * t) / bits)
-        ps = 1.0 - (1.0 - pb) ** s
-        raw_r = ps * k
-        near_r = round(raw_r)
-        r = int(near_r) if abs(raw_r - near_r) < 1e-9 else math.ceil(raw_r)
-        rt = rate * k / (k + r)
-        return d, t, pb, ps, r, rt, 1.0 - rt
-
+    """``derive`` and the planning kernel match the chain written out in conftest."""
     rng = np.random.default_rng(2024)
     cases = [(30, 8, 1.0, 0.0), (30, 8, 1.0, 1.0), (30, 8, 0.8, 0.2), (1, 1, 0.5, 0.5)]
     while len(cases) < 10_000:
@@ -98,10 +83,9 @@ def test_equation_chain_oracle():
         )
     for k, s, rate, ber in cases:
         derived = fec.derive(FecParams(k=k, s=s, code_rate=rate, bit_error_rate=ber))
-        r = planner.redundancy(derived.residual_ser, k)
-        rt = planner.total_code_rate(k, r, rate)
-        th = planner.overhead(rt)
-        d_o, t_o, pb_o, ps_o, r_o, rt_o, th_o = oracle(k, s, rate, ber)
+        _, _, point = planner.grid_kernel(k, s, rate, 8e11)
+        _, _, r, rt, th, *_ = point(ber, 0.0, 0.0)
+        d_o, t_o, pb_o, ps_o, r_o, rt_o, th_o = reference_chain(k, s, rate, ber)
         assert derived.hamming_distance == d_o
         assert derived.correctable_bits == t_o
         assert r == r_o
@@ -146,18 +130,13 @@ def test_equal_distance_reduction():
     rng = np.random.default_rng(11)
     for _ in range(1000):
         k = int(rng.integers(1, 101))
-        link = LinkParams(
-            fec=FecParams(
-                k=k, s=int(rng.integers(1, 17)), code_rate=float(rng.uniform(0.05, 1.0)),
-                bit_error_rate=0.5,
-            ),
-            main_rate=float(10 ** rng.uniform(6, 13)),
-            main_distance=(d := float(rng.uniform(0.0, 1000.0))),
-            aux_distance=d,
-        )
-        r = int(rng.integers(1, k + 1))
-        expected = link.main_rate * r / k
-        assert math.isclose(planner.aux_rate(link, r), expected, rel_tol=1e-12)
+        s, code_rate = int(rng.integers(1, 17)), float(rng.uniform(0.05, 1.0))
+        main_rate = float(10 ** rng.uniform(6, 13))
+        d = float(rng.uniform(0.0, 1000.0))
+        ber = int(rng.integers(1, k + 1)) / k  # plans some R in [0, K]
+        fec_params = FecParams(k=k, s=s, code_rate=code_rate, bit_error_rate=ber)
+        lp = planner.plan(LinkParams(fec_params, main_rate, main_distance=d, aux_distance=d))
+        assert math.isclose(lp.aux_rate, main_rate * lp.redundancy / k, rel_tol=1e-12)
 
 
 @criterion("codec round-trip (10^4 generations, >= 99.9% success)")

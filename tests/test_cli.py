@@ -105,6 +105,33 @@ def test_plan_bad_distance_is_validation_error(workdir, d, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_sweep_without_a_ber_table_is_validation_error(tmp_path, capsys):
+    (tmp_path / "scn.scn").write_text(scenario_text(), encoding="utf-8")
+    assert cli.main(["sweep", "--scenario", str(tmp_path / "scn.scn")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no BER table: give --ber-table or a ber_table scenario key\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "code_rate, main_rate",
+    [(0.5, 5e-324), (0.5, 1e-320), (1.0, 1e308)],
+    # what the sweep did before main_rate_bps had this rule
+    ids=["zero-division", "infinite-T_main", "nan-C_aux"],
+)
+def test_sweep_rejects_a_main_rate_whose_plan_is_not_finite(workdir, code_rate, main_rate, capsys):
+    scn, out = workdir / "rate.scn", workdir / "out.csv"
+    text = scenario_text(main_rate=main_rate, extra="ber_table = ber.csv")
+    scn.write_text(text.replace("fec_code_rate = 0.8", f"fec_code_rate = {code_rate}"), "utf-8")
+    assert cli.main(["sweep", "--scenario", str(scn), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {scn}: main_rate_bps must keep lane times and auxiliary rates finite, "
+        f"got {main_rate!r}\n",
+    )
+    assert not out.exists()
+
+
 def test_sweep_writes_csv(workdir, capsys):
     out = workdir / "out.csv"
     rc = cli.main(["sweep", "--scenario", str(workdir / "scn.scn"), "--out", str(out)])

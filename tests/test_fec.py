@@ -6,32 +6,38 @@ import pytest
 
 from twolane import fec
 from twolane.fec import FecParams, binomial_tail_above
-from twolane.planner import LinkParams, lane_times
+
+from conftest import reference_chain
 
 
 def params(k=30, s=8, code_rate=0.8, ber=0.2):
     return FecParams(k=k, s=s, code_rate=code_rate, bit_error_rate=ber)
 
 
+def correcting(t, bits=240):
+    """A code rate whose minimum distance over ``bits`` data bits is 2t+1: it corrects t."""
+    return bits / (bits + 2 * t + 1)
+
+
 # ------------------------------------------------------------------- distance
 
 
 def test_hamming_distance_headline_configuration():
-    assert fec.hamming_distance(params()) == 60
+    assert fec.derive(params()).hamming_distance == 60
 
 
 def test_hamming_distance_rate_one_is_zero():
     for k, s in [(1, 1), (30, 8), (100, 16)]:
-        assert fec.hamming_distance(params(k=k, s=s, code_rate=1.0)) == 0
+        assert fec.derive(params(k=k, s=s, code_rate=1.0)).hamming_distance == 0
 
 
 def test_hamming_distance_half_rate():
-    assert fec.hamming_distance(params(k=10, s=8, code_rate=0.5)) == 80
+    assert fec.derive(params(k=10, s=8, code_rate=0.5)).hamming_distance == 80
 
 
 def test_hamming_distance_floors_non_integer():
     # 10*8/0.7 - 80 = 34.2857...
-    assert fec.hamming_distance(params(k=10, s=8, code_rate=0.7)) == 34
+    assert fec.derive(params(k=10, s=8, code_rate=0.7)).hamming_distance == 34
 
 
 def test_hamming_distance_snaps_float_noise():
@@ -39,7 +45,7 @@ def test_hamming_distance_snaps_float_noise():
     for code_rate in (0.8, 0.4, 0.1, 0.6):
         p = params(k=30, s=8, code_rate=code_rate)
         exact = 240 / code_rate - 240
-        assert abs(fec.hamming_distance(p) - exact) < 1e-6
+        assert abs(fec.derive(p).hamming_distance - exact) < 1e-6
 
 
 # ---------------------------------------------------------- correctable bits
@@ -72,18 +78,21 @@ def test_check_seed_and_check_probability_messages():
 # --------------------------------------------------------------- residual BER
 
 
+# the headline code (K=30, s=8, R_F=0.8) corrects t = 29 bits
+
+
 def test_residual_ber_fully_corrected_is_clamped_to_zero():
-    assert fec.residual_ber(params(ber=0.05), 29) == 0.0
+    assert fec.derive(params(ber=0.05)).residual_ber == 0.0
 
 
 def test_residual_ber_partially_corrected():
     # (240*0.2 - 0.8*29) / 240 = 24.8/240
-    value = fec.residual_ber(params(ber=0.2), 29)
+    value = fec.derive(params(ber=0.2)).residual_ber
     assert value == pytest.approx(24.8 / 240, rel=1e-12)
 
 
 def test_residual_ber_error_free_channel():
-    assert fec.residual_ber(params(ber=0.0), 29) == 0.0
+    assert fec.derive(params(ber=0.0)).residual_ber == 0.0
 
 
 def test_residual_ber_never_exceeds_channel_ber():
@@ -91,26 +100,33 @@ def test_residual_ber_never_exceeds_channel_ber():
     for _ in range(500):
         ber = float(rng.uniform(0, 1))
         t = int(rng.integers(0, 200))
-        assert fec.residual_ber(params(ber=ber), t) <= ber + 1e-15
+        derived = fec.derive(params(code_rate=correcting(t), ber=ber))
+        assert derived.correctable_bits == t
+        assert derived.residual_ber <= ber + 1e-15
 
 
 # --------------------------------------------------------------- residual SER
 
 
+# at code rate 1 nothing is corrected, so the residual BER is the channel BER
+
+
 def test_residual_ser_endpoints():
-    assert fec.residual_ser(0.0, 8) == 0.0
-    assert fec.residual_ser(1.0, 8) == 1.0
+    assert fec.derive(params(code_rate=1.0, ber=0.0)).residual_ser == 0.0
+    assert fec.derive(params(code_rate=1.0, ber=1.0)).residual_ser == 1.0
 
 
 def test_residual_ser_headline_value():
-    pb = 24.8 / 240
-    assert fec.residual_ser(pb, 8) == pytest.approx(0.5821232558667687, rel=1e-12)
+    derived = fec.derive(params(ber=0.2))  # P_b = 24.8/240
+    assert derived.residual_ser == pytest.approx(0.5821232558667687, rel=1e-12)
 
 
 def test_residual_ser_monotone():
-    values = [fec.residual_ser(p, 8) for p in np.linspace(0, 1, 101)]
+    values = [
+        fec.derive(params(code_rate=1.0, ber=float(p))).residual_ser for p in np.linspace(0, 1, 101)
+    ]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    by_s = [fec.residual_ser(0.1, s) for s in range(1, 17)]
+    by_s = [fec.derive(params(s=s, code_rate=1.0, ber=0.1)).residual_ser for s in range(1, 17)]
     assert all(b >= a for a, b in zip(by_s, by_s[1:]))
 
 
@@ -129,22 +145,13 @@ def test_clamp_threshold_boundary():
 
 def test_residual_ber_monotone_in_channel_ber_and_budget():
     grid = np.linspace(0, 1, 51)
-    values = [fec.residual_ber(params(ber=float(p)), 29) for p in grid]
+    values = [fec.derive(params(ber=float(p))).residual_ber for p in grid]
     assert all(b >= a for a, b in zip(values, values[1:]))
-    by_t = [fec.residual_ber(params(ber=0.3), t) for t in range(0, 100)]
+    by_t = [fec.derive(params(code_rate=correcting(t), ber=0.3)).residual_ber for t in range(100)]
     assert all(b <= a for a, b in zip(by_t, by_t[1:]))
 
 
 def test_derive_matches_single_expression_oracle():
-    def oracle(k, s, rate, ber):
-        bits = k * s
-        raw = bits / rate - bits
-        near = round(raw)
-        d = int(near) if abs(raw - near) < 1e-9 else math.floor(raw)
-        t = max(0, (d - 2) // 2) if d % 2 == 0 else (d - 1) // 2
-        pb = max(0.0, (bits * ber - rate * t) / bits)
-        return d, t, pb, 1.0 - (1.0 - pb) ** s
-
     rng = np.random.default_rng(1)
     for _ in range(2000):
         k = int(rng.integers(1, 101))
@@ -152,7 +159,7 @@ def test_derive_matches_single_expression_oracle():
         rate = float(rng.uniform(0.01, 1.0))
         ber = float(rng.uniform(0, 1))
         got = fec.derive(FecParams(k=k, s=s, code_rate=rate, bit_error_rate=ber))
-        d, t, pb, ps = oracle(k, s, rate, ber)
+        d, t, pb, ps, *_ = reference_chain(k, s, rate, ber)
         assert got.hamming_distance == d
         assert got.correctable_bits == t
         assert got.residual_ber == pytest.approx(pb, rel=1e-12, abs=1e-15)
@@ -234,9 +241,8 @@ def test_fec_params_validation(kwargs):
     [
         (lambda v: binomial_tail_above(v, 0.2, 3), "k", 1),
         (lambda v: binomial_tail_above(30, 0.2, v), "r", 0),
-        (lambda v: lane_times(LinkParams(params(), 8e11, 6.5, 1.5), v, 1e9), "r", 0),
     ],
-    ids=["binomial_tail_above-k", "binomial_tail_above-r", "lane_times-r"],
+    ids=["binomial_tail_above-k", "binomial_tail_above-r"],
 )
 def test_tail_and_lane_times_reject_a_count_that_is_not_an_integer(call, name, least):
     for value in (2.5, True, least - 1):

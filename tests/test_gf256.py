@@ -41,6 +41,12 @@ def test_inv_zero_rejected():
         gf256.inv(0)
 
 
+def test_inv_range_check():
+    for a in (256, -1):
+        with pytest.raises(ValueError, match=rf"^field elements must be in \[0, 255\], got {a}$"):
+            gf256.inv(a)
+
+
 def test_every_nonzero_element_has_exactly_one_inverse():
     # full 255 x 255 product table scan
     ones_per_row = (gf256.MUL[1:, 1:] == 1).sum(axis=1)

@@ -25,26 +25,33 @@ def link(
     )
 
 
+def planned(ber, **link_kwargs):
+    """The headline link's plan at channel BER ``ber``: R = 0 at 0.05, 11 at 0.15, 18 at 0.2."""
+    return planner.plan(link(ber=ber, **link_kwargs))
+
+
 # ----------------------------------------------------------------- redundancy
 
 
 def test_redundancy_examples():
-    assert planner.redundancy(0.0, 30) == 0
-    assert planner.redundancy(0.5822, 30) == 18  # ceil(17.466)
-    assert planner.redundancy(1.0, 30) == 30
+    assert planned(0.05).redundancy == 0
+    assert planned(0.2).redundancy == 18  # ceil(30 * 0.5821)
+    assert planned(1.0, code_rate=1.0).redundancy == 30
 
 
 def test_redundancy_snaps_float_noise():
-    # 0.6 * 30 evaluates to 18.000000000000004; the ceiling must stay 18
-    assert planner.redundancy(0.6, 30) == 18
+    # P_s = 1 - (1 - 0.3) is 0.30000000000000004 and P_s * 10 is 3.0000000000000004;
+    # the ceiling must stay 3
+    assert planned(0.3, k=10, s=1, code_rate=1.0).redundancy == 3
 
 
 def test_redundancy_is_minimal_cover():
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        ps = float(rng.uniform(0, 1))
+        ber = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 101))
-        r = planner.redundancy(ps, k)
+        # one-bit symbols at code rate 1: P_s is the channel BER up to rounding
+        _, ps, r, *_ = planner.grid_kernel(k, 1, 1.0, 8e11)[2](ber, 6.5, 1.5)
         assert r >= ps * k - 1e-6
         assert r - 1 < ps * k + 1e-6
 
@@ -53,84 +60,83 @@ def test_redundancy_is_minimal_cover():
 
 
 def test_total_code_rate_examples():
-    assert planner.total_code_rate(30, 0, 0.8) == pytest.approx(0.8, rel=1e-15)
-    assert planner.total_code_rate(30, 11, 0.8) == pytest.approx(24 / 41, rel=1e-12)
-    assert planner.total_code_rate(30, 30, 0.8) == pytest.approx(0.4, rel=1e-15)
+    assert planned(0.05).total_rate == pytest.approx(0.8, rel=1e-15)
+    lp = planned(0.15)
+    assert lp.redundancy == 11
+    assert lp.total_rate == pytest.approx(24 / 41, rel=1e-12)
+    assert planned(1.0).total_rate == pytest.approx(0.4, rel=1e-15)  # R = 30
 
 
 def test_total_code_rate_capped_by_fec_rate():
     rng = np.random.default_rng(1)
     for _ in range(500):
         k = int(rng.integers(1, 101))
-        r = int(rng.integers(0, 101))
+        ber = int(rng.integers(0, 101)) / 100
         rate = float(rng.uniform(0.01, 1.0))
-        rt = planner.total_code_rate(k, r, rate)
+        rt = planner.grid_kernel(k, 8, rate, 8e11)[2](ber, 6.5, 6.5)[3]
         assert 0 < rt <= rate + 1e-15
 
 
 def test_overhead_examples():
-    assert planner.overhead(1.0) == 0.0
-    assert planner.overhead(0.8) == pytest.approx(0.2, rel=1e-12)
-    assert planner.overhead(0.585366) == pytest.approx(0.414634, rel=1e-9)
+    assert planned(0.0, code_rate=1.0).overhead == 0.0
+    assert planned(0.05).overhead == pytest.approx(0.2, rel=1e-12)
+    assert planned(0.15).overhead == pytest.approx(17 / 41, rel=1e-9)  # 1 - 0.585366
 
 
 # ----------------------------------------------------------------- lane times
 
 
 def test_lane_times_headline_value():
-    t_main, t_aux = planner.lane_times(link(), 0, 0.0)
-    assert t_main == pytest.approx(3.75e-10 + 6.5 / 3e8, rel=1e-12)
-    assert t_main == pytest.approx(2.2041666666666664e-08, rel=1e-12)
-    assert t_aux == 0.0
+    lp = planned(0.05)
+    assert lp.t_main == pytest.approx(3.75e-10 + 6.5 / 3e8, rel=1e-12)
+    assert lp.t_main == pytest.approx(2.2041666666666664e-08, rel=1e-12)
+    assert lp.t_aux == 0.0
 
 
 def test_lane_times_vanish_in_the_fast_short_limit():
-    t_main, _ = planner.lane_times(
-        link(main_rate=1e18, main_distance=0.0), 0, 0.0
-    )
-    assert t_main < 1e-15
+    lp = planned(0.05, main_rate=1e18, main_distance=0.0, aux_distance=0.0)
+    assert lp.t_main < 1e-15
 
 
 def test_lane_times_requires_aux_rate_with_redundancy():
+    # 6.4e11 * 1e297 m overflows the rate's denominator, so the matched rate is 0
     with pytest.raises(ValueError, match="auxiliary lane required"):
-        planner.lane_times(link(), 5, 0.0)
+        planned(0.2, main_distance=1e297)
 
 
 # ------------------------------------------------------------------- aux rate
 
 
 def test_aux_rate_zero_without_redundancy():
-    assert planner.aux_rate(link(), 0) == 0.0
+    assert planned(0.05).aux_rate == 0.0
 
 
 def test_aux_rate_headline_value():
-    assert planner.aux_rate(link(), 11) == pytest.approx(6454767726.161369, rel=1e-12)
+    assert planned(0.15).aux_rate == pytest.approx(6454767726.161369, rel=1e-12)  # R = 11
 
 
 def test_aux_rate_equal_distances_reduces_to_rate_ratio():
     rng = np.random.default_rng(2)
     for _ in range(200):
         d = float(rng.uniform(0, 100))
-        lk = link(main_distance=d, aux_distance=d)
-        r = int(rng.integers(1, 31))
-        assert planner.aux_rate(lk, r) == pytest.approx(8e11 * r / 30, rel=1e-12)
+        ber = int(rng.integers(1, 31)) / 30
+        lp = planned(ber, main_distance=d, aux_distance=d)
+        assert lp.aux_rate == pytest.approx(8e11 * lp.redundancy / 30, rel=1e-12)
     # R=11 lands at 2.9333e11 bps regardless of the shared distance
-    assert planner.aux_rate(link(main_distance=5.0, aux_distance=5.0), 11) == pytest.approx(
+    assert planned(0.15, main_distance=5.0, aux_distance=5.0).aux_rate == pytest.approx(
         293333333333.3333, rel=1e-12
     )
 
 
 def test_aux_rate_nonincreasing_in_main_distance_for_fixed_r():
-    rates = [
-        planner.aux_rate(link(main_distance=d), 11) for d in np.linspace(2.0, 20.0, 50)
-    ]
+    rates = [planned(0.15, main_distance=d).aux_rate for d in np.linspace(2.0, 20.0, 50)]
     assert all(b <= a for a, b in zip(rates, rates[1:]))
 
 
 def test_aux_rate_infeasible_distance():
     # bound at 8e11 is d_main + 0.1125 m
     with pytest.raises(InfeasibleAuxDistanceError, match="feasibility bound"):
-        planner.aux_rate(link(main_distance=1.0, aux_distance=1.2), 5)
+        planned(0.2, main_distance=1.0, aux_distance=1.2)
 
 
 def test_aux_distance_bound_examples():
@@ -220,23 +226,6 @@ def test_link_params_validation():
 
 
 @pytest.mark.parametrize(
-    "call, name, least",
-    [
-        (lambda v: planner.redundancy(0.1, v), "k", 1),
-        (lambda v: planner.total_code_rate(v, 1, 0.8), "k", 1),
-        (lambda v: planner.total_code_rate(30, v, 0.8), "r", 0),
-        (lambda v: planner.aux_rate(link(), v), "r", 0),
-    ],
-    ids=["redundancy-k", "total_code_rate-k", "total_code_rate-r", "aux_rate-r"],
-)
-def test_planner_rejects_a_count_that_is_not_an_integer(call, name, least):
-    for value in (2.5, True, least - 1):
-        message = f"{name} must be an integer >= {least}, got {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(value)
-
-
-@pytest.mark.parametrize(
     "field, value",
     [
         ("main_rate", float("nan")),
@@ -248,6 +237,16 @@ def test_planner_rejects_a_count_that_is_not_an_integer(call, name, least):
 def test_link_params_rejects_non_finite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
         link(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "code_rate, main_rate",
+    [(0.5, 5e-324), (0.5, 1e-320), (1.0, 1e-300), (1.0, 1e308), (0.8, 1e290)],
+)
+def test_link_params_rejects_a_main_rate_whose_plan_is_not_finite(code_rate, main_rate):
+    message = f"main_rate must keep lane times and auxiliary rates finite, got {main_rate!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        link(code_rate=code_rate, main_rate=main_rate)
 
 
 def test_main_rate_from_baud():

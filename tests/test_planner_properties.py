@@ -1,52 +1,47 @@
-"""Properties: every planning path gives exactly the floats of the stage-helper chain.
+"""Properties: every planning path gives exactly the floats of the written-out chain.
 
-``scenario.sweep`` and ``planner.plan`` run ``planner.grid_kernel``. The reference
-here is the chain of checked public stage helpers, ``link_for`` -> ``derive`` ->
-``redundancy`` -> ``aux_rate`` -> ``lane_times`` -> ``total_code_rate`` ->
-``overhead``, and every float is compared with ``==``. The helpers and the kernel
-share each formula's function, so the last property pins each helper to its formula
-written out below in its documented operation order: a change of order in one
-formula changes the shipped CSVs, and that property names it.
+``scenario.sweep`` and ``planner.plan`` run ``planner.grid_kernel``; ``fec.derive`` and
+``planner.aux_distance_bound`` share its formula functions. The reference is
+``conftest.reference_chain``, the paper's chain written out with no package code, and
+every float is compared with ``==``: a change of operation order in one formula
+changes the shipped CSVs, and these properties catch it.
 """
 
 import dataclasses
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twolane import fec, planner
+from twolane import planner
 from twolane.bertable import BerPoint, BerTable
 from twolane.fec import FecDerived, FecParams, derive
 from twolane.planner import LIGHT_SPEED, InfeasibleAuxDistanceError, LinkParams
 from twolane.scenario import RowError, Scenario, SweepRow, sweep
 
+from conftest import reference_chain
+
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def chain(link: LinkParams) -> tuple:
-    """The public stage helpers in plan's order: (FecDerived, R, R_T, theta, C_aux,
-    T_main, T_aux); raises what they raise."""
-    p = link.fec
-    derived = derive(p)
-    r = planner.redundancy(derived.residual_ser, p.k)
-    rate = planner.aux_rate(link, r)
-    t_main, t_aux = planner.lane_times(link, r, rate)
-    total = planner.total_code_rate(p.k, r, p.code_rate)
-    return derived, r, total, planner.overhead(total), rate, t_main, t_aux
+def infeasible_message(aux_distance, bound) -> str:
+    return f"auxiliary distance {aux_distance} m is not below the feasibility bound {bound} m"
 
 
 def reference_sweep(sc: Scenario, table: BerTable, interpolate: bool):
     rows, errors = [], []
     for d in sc.distances_cm():
         p_e = table.lookup(sc.channel, sc.modulation, d, interpolate=interpolate)
-        try:
-            derived, *rest = chain(sc.link_for(d, p_e))
-        except InfeasibleAuxDistanceError as exc:
-            errors.append(RowError(d_main_cm=d, message=str(exc)))
+        main_distance, aux_distance = sc.lane_distances(d)
+        _, _, pb, ps, *chain, bound, rate, t_main, t_aux = reference_chain(
+            sc.k, sc.s, sc.code_rate, p_e, sc.main_rate, main_distance, aux_distance
+        )
+        if rate is None:
+            errors.append(RowError(d_main_cm=d, message=infeasible_message(aux_distance, bound)))
             continue
-        rows.append(SweepRow(d, p_e, derived.residual_ber, derived.residual_ser, *rest))
+        rows.append(SweepRow(d, p_e, pb, ps, *chain, rate, t_main, t_aux))
     return rows, errors
 
 
@@ -94,7 +89,7 @@ def sweep_cases(draw):
 
 @PROPERTY
 @given(sweep_cases())
-def test_sweep_rows_and_errors_equal_the_stage_helper_chain(case):
+def test_sweep_rows_and_errors_equal_the_written_out_chain(case):
     sc, table, interpolate = case
     rows, errors = sweep(sc, table, interpolate=interpolate)
     ref_rows, ref_errors = reference_sweep(sc, table, interpolate)
@@ -124,48 +119,74 @@ def links(draw):
 
 @PROPERTY
 @given(links())
-def test_plan_equals_the_stage_helper_chain(link):
-    try:
-        expected = chain(link)
-    except InfeasibleAuxDistanceError as exc:
+def test_plan_equals_the_written_out_chain(link):
+    p = link.fec
+    *chain, bound, rate, t_main, t_aux = reference_chain(
+        p.k, p.s, p.code_rate, p.bit_error_rate, link.main_rate, link.main_distance,
+        link.aux_distance,
+    )
+    if rate is None:
         with pytest.raises(InfeasibleAuxDistanceError) as raised:
             planner.plan(link)
-        assert str(raised.value) == str(exc)
+        assert str(raised.value) == infeasible_message(link.aux_distance, bound)
         return
     lp = planner.plan(link)
-    assert (lp.fec, lp.redundancy, lp.total_rate, lp.overhead) == expected[:4]
-    assert (lp.aux_rate, lp.t_main, lp.t_aux) == expected[4:]
+    assert (*dataclasses.astuple(lp.fec), lp.redundancy, lp.total_rate, lp.overhead) == (*chain,)
+    assert (lp.aux_rate, lp.t_main, lp.t_aux) == (rate, t_main, t_aux)
+    assert type(lp.redundancy) is int
 
 
 @PROPERTY
 @given(links())
 def test_each_stage_helper_keeps_its_documented_operation_order(link):
-    p, c = link.fec, LIGHT_SPEED
-    bits = p.k * p.s
-    d = math.floor(fec.snap(bits / p.code_rate - bits))
-    t = max(0, (d - 1) // 2)
-    pb = max(0.0, (bits * p.bit_error_rate - p.code_rate * t) / bits)
-    ps = 1.0 - (1.0 - pb) ** p.s
+    """The stage quantities outside ``plan``: ``derive``'s FEC statistics and the bound."""
+    p = link.fec
+    d, t, pb, ps, *_, bound, _, _, _ = reference_chain(
+        p.k, p.s, p.code_rate, p.bit_error_rate, link.main_rate, link.main_distance,
+        link.aux_distance,
+    )
     assert derive(p) == FecDerived(d, t, pb, ps)
-    r = max(0, math.ceil(fec.snap(ps * p.k)))
-    assert planner.redundancy(ps, p.k) == r
-    total = p.code_rate * p.k / (p.k + r)
-    assert planner.total_code_rate(p.k, r, p.code_rate) == total
-    assert planner.overhead(total) == 1.0 - total
-    bound = p.k * p.s * c / (p.code_rate * link.main_rate) + link.main_distance
     assert planner.aux_distance_bound(link) == bound
 
-    denom = p.code_rate * link.main_rate * (link.main_distance - link.aux_distance) + c * p.k * p.s
-    if denom <= 0:
-        with pytest.raises(InfeasibleAuxDistanceError) as raised:
-            planner.aux_rate(link, r)
-        assert str(raised.value) == (
-            f"auxiliary distance {link.aux_distance} m is not below the "
-            f"feasibility bound {bound} m"
-        )
+
+# every positive finite main rate, the ends and the subnormals among them
+any_main_rates = st.one_of(
+    st.sampled_from([5e-324, 1e-320, sys.float_info.min, 1.0, 1e308, sys.float_info.max]),
+    st.floats(5e-324, sys.float_info.max),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, 307)),
+)
+
+
+@PROPERTY
+# one bit per generation, one ulp below the bound: the matched rate's denominator is at its
+# least, so C_aux = R*s*c*C_main / denom is at its largest; 1e299 would overflow it, and
+# 1.7e292 is just inside the rule
+@example(1, 1, 1.0, 1e299, 1.0, 0.0, 1.0 - 2.0**-52)
+@example(1, 1, 1.0, 1.7e292, 1.0, 0.0, 1.0 - 2.0**-52)
+@given(
+    st.integers(1, 500), st.integers(1, 16), code_rates, any_main_rates, bers,
+    st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+    st.one_of(
+        st.sampled_from([-1.0, 0.0, 1.0]),
+        st.floats(0.0, 2.0),
+        st.integers(1, 53).map(lambda j: 1.0 - 2.0**-j),  # just below the bound
+    ),
+)
+def test_plan_returns_finite_values_or_raises_value_error(k, s, code_rate, main_rate, p_e,
+                                                          main_distance, where):
+    """From the smallest positive main rate to the largest finite one, a link is either
+    rejected where it is built or planned to finite values. The auxiliary distance is the
+    main one (``where`` = -1) or ``where`` times the feasibility bound; just below the
+    bound, the matched rate's denominator is smallest."""
+    fec_params = FecParams(k=k, s=s, code_rate=code_rate, bit_error_rate=p_e)
+    if code_rate * main_rate:
+        bound = bound_m(k, s, code_rate, main_rate) + main_distance
+    else:  # R_F*C_main underflows; LinkParams rejects the rate
+        bound = math.inf
+    aux_distance = main_distance if where < 0 else where * bound if where else 0.0
+    try:
+        lp = planner.plan(LinkParams(fec_params, main_rate, main_distance, aux_distance))
+    except ValueError:
         return
-    rate = r * p.s * c * link.main_rate / denom if r else 0.0
-    assert planner.aux_rate(link, r) == rate
-    t_main = p.k * p.s / (p.code_rate * link.main_rate) + link.main_distance / c
-    t_aux = r * p.s / (p.code_rate * rate) + link.aux_distance / c if r else 0.0
-    assert planner.lane_times(link, r, rate) == (t_main, t_aux)
+    values = (*dataclasses.astuple(lp.fec), *dataclasses.astuple(lp)[1:])
+    assert all(map(math.isfinite, values)), values

@@ -24,7 +24,7 @@ from twolane.scenario import (
     write_sweep_csv,
 )
 
-from conftest import not_full_rank_rate, scenario_text
+from conftest import LIGHT_SPEED, not_full_rank_rate, scenario_text
 
 
 def flat_table(p_e=0.2, distances=(200, 650, 2000), channel="B", modulation="16PSK"):
@@ -126,6 +126,11 @@ def test_parse_scenario_rejects_bad_grid():
         ("main_rate_bps = 800000000000.0", "main_rate_bps = 0", "main_rate_bps must be > 0"),
         (
             "main_rate_bps = 800000000000.0",
+            "main_rate_bps = 5e-324",
+            "main_rate_bps must keep lane times and auxiliary rates finite, got 5e-324",
+        ),
+        (
+            "main_rate_bps = 800000000000.0",
             "baud_rate = 0\nbits_per_symbol = 4",
             "baud_rate must be > 0",
         ),
@@ -139,6 +144,7 @@ def test_parse_scenario_rejects_bad_grid():
             "d_main_step_cm = 0.0001",
             "d_main_step_cm = 0.0001 gives 18000001 grid points, cap 100000",
         ),
+        ("K = 30", "K 30", "line 1: expected 'key = value'"),
     ],
     ids=[
         "fractional-K",
@@ -160,9 +166,11 @@ def test_parse_scenario_rejects_bad_grid():
         "negative-aux-distance",
         "negative-start",
         "zero-rate",
+        "subnormal-rate",
         "zero-baud-rate",
         "overflowing-baud-rate",
         "oversized-grid",
+        "no-equals-sign",
     ],
 )
 def test_parse_scenario_rejects_bad_number(old, new, message):
@@ -235,6 +243,7 @@ def test_scenario_rejects_non_finite_distance(field, value, key):
         ("main_rate", math.inf, "main_rate_bps must be finite, got inf"),
         ("d_start_cm", -50.0, "d_main_start_cm must be >= 0"),
         ("aux_distance_cm", -1.0, "d_aux_cm must be >= 0"),
+        ("aux_policy", "nearest", "d_aux_policy must be one of ('fixed', 'equal_to_main')"),
     ],
 )
 def test_code_built_scenario_names_the_key(field, value, message):
@@ -439,6 +448,14 @@ def test_read_sweep_csv_rejects_malformed_row(tmp_path, row, message):
         read_sweep_csv(path)
 
 
+def test_read_sweep_csv_rejects_a_simulate_csv(tmp_path):
+    rows, _ = simulate(parse_scenario(scenario_text(d_start=650, d_stop=650)), flat_table(), 1)
+    path = tmp_path / "sim.csv"
+    write_sim_csv(rows, path)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: not a sweep CSV$"):
+        read_sweep_csv(path)
+
+
 # ------------------------------------------------------------------- classify
 
 
@@ -559,11 +576,11 @@ def test_simulate_skew_zero_with_matched_aux_rate():
 
 
 def test_simulate_skew_matches_analytic_for_other_aux_rate(monkeypatch):
-    def off_rate_plan(link):
+    def off_rate_plan(link):  # T_aux = R*s/(R_F*C_aux) + d_aux/c at twice the matched rate
         lp = planner.plan(link)
         rate = lp.aux_rate * 2
-        t_main, t_aux = planner.lane_times(link, lp.redundancy, rate)
-        return dataclasses.replace(lp, aux_rate=rate, t_main=t_main, t_aux=t_aux)
+        t_aux = lp.redundancy * link.fec.s / (link.fec.code_rate * rate) + link.aux_distance / LIGHT_SPEED
+        return dataclasses.replace(lp, aux_rate=rate, t_aux=t_aux)
 
     monkeypatch.setattr(scenario, "plan", off_rate_plan)
     sc = parse_scenario(scenario_text(d_start=650, d_stop=650))

@@ -232,6 +232,26 @@ def test_run_counts_are_consistent():
     )
 
 
+def test_run_counts_a_wrong_decode_as_a_payload_mismatch(monkeypatch):
+    cfg = config(generations=200, seed=3)
+    clean = sim.run(cfg)
+    real_decode, decoded = sim.decode, []
+
+    def decode_corrupting_the_first(received, coeffs, k, stats=None):
+        out = real_decode(received, coeffs, k, stats)
+        decoded.append(out)
+        if len(decoded) == 1:  # one flipped bit in the first decoded generation
+            first, *rest = out.symbols
+            out = dataclasses.replace(out, symbols=(bytes([first[0] ^ 1]) + first[1:], *rest))
+        return out
+
+    monkeypatch.setattr(sim, "decode", decode_corrupting_the_first)
+    report = sim.run(cfg)
+    assert clean.payload_mismatches == 0 and len(decoded) > 1
+    assert report.payload_mismatches == 1
+    assert dataclasses.replace(report, payload_mismatches=0) == clean
+
+
 def test_run_deterministic_for_fixed_seed():
     a = sim.run(config(generations=100, seed=29))
     b = sim.run(config(generations=100, seed=29))
