@@ -18,8 +18,8 @@ print("GF(2^8) BASICS")
 print("=" * 72)
 print(f"reduction polynomial: 0x{gf256.POLY:X}, table generator: 0x{gf256.GENERATOR:02X}")
 print(f"0x53 + 0xCA = 0x{0x53 ^ 0xCA:02X}   (XOR)")
-print(f"0x53 * 0xCA = 0x{gf256.mul(0x53, 0xCA):02X}   (so 0xCA is the inverse of 0x53)")
-print(f"inv(0x53)   = 0x{gf256.inv(0x53):02X}")
+print(f"0x53 * 0xCA = 0x{gf256.MUL[0x53, 0xCA]:02X}   (MUL, the 256x256 product table)")
+print(f"inv(0x53)   = 0x{gf256.INV_LIST[0x53]:02X}   (INV_LIST; so 0xCA is the inverse of 0x53)")
 
 K, R, PAYLOAD = 6, 3, 8
 rng = np.random.default_rng(42)

@@ -203,7 +203,9 @@ def encode(gen: Generation, coeffs: np.ndarray) -> tuple[bytes, ...]:
     the field.
     """
     _check_inputs(gen.symbols, coeffs, len(gen.symbols))
-    return tuple(row.tobytes() for row in gf256.matmul(coeffs.T, _payload_matrix(gen.symbols)))
+    # From a list, not a generator: tuple() over an iterator grows the tuple by realloc,
+    # and the sizes it passes through fragment pymalloc's arenas over many calls.
+    return tuple([row.tobytes() for row in gf256.matmul(coeffs.T, _payload_matrix(gen.symbols))])
 
 
 def decode(

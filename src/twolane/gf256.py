@@ -1,11 +1,11 @@
 """GF(2^8) arithmetic for the coding layer.
 
 Field elements are plain ints in [0, 255] (one 8-bit symbol unit).
-Reduction polynomial: x^8 + x^4 + x^3 + x + 1 (0x11B). Multiplication and
-inversion go through log/exp tables built with generator 0x03; 0x02 is not
-primitive under 0x11B (its order is 51), so the generator choice matters.
-
-A full 256x256 product table (``MUL``) is also exported. Payload math goes
+Reduction polynomial: x^8 + x^4 + x^3 + x + 1 (0x11B). The full 256x256
+product table ``MUL`` and the inverse list ``INV_LIST`` are built from log/exp
+tables with generator 0x03; 0x02 is not primitive under 0x11B (its order is
+51), so the generator choice matters. ``MUL[a, b]`` is a * b and
+``INV_LIST[a]`` is a^-1; the codec reads both directly. Payload math goes
 through ``matmul``, the field's matrix product: byte gathers from ``MUL`` by
 flat index for short payloads or from its rows, and for payloads of at least
 ``LONG`` bytes one row gather per payload byte from a full product table of
@@ -54,22 +54,6 @@ NIBBLE_ROWS = MUL[np.r_[0:16, 0:256:16]]  # [v, c] = c * v, [16 + v, c] = c * (v
 
 # INV_LIST[a] = a^-1 for a != 0, as Python ints; INV_LIST[0] is 0 and must not be consumed.
 INV_LIST = [0, *EXP[255 - LOG[1:]].tolist()]
-
-
-def mul(a: int, b: int) -> int:
-    """Product of two field elements."""
-    if not (0 <= a <= 255 and 0 <= b <= 255):
-        raise ValueError(f"field elements must be in [0, 255], got {a!r}, {b!r}")
-    return int(MUL[a, b])
-
-
-def inv(a: int) -> int:
-    """Multiplicative inverse of a nonzero field element."""
-    if not 0 <= a <= 255:
-        raise ValueError(f"field elements must be in [0, 255], got {a!r}")
-    if a == 0:
-        raise ZeroDivisionError("no inverse for zero")
-    return INV_LIST[a]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

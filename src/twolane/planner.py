@@ -36,7 +36,11 @@ from .fec import (  # derive is not called here; bench/tracer.py wraps planner.d
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
 
 
-class InfeasibleAuxDistanceError(ValueError):
+class InfeasiblePointError(ValueError):
+    """A point the chain cannot plan to finite values; a sweep records it as a row error."""
+
+
+class InfeasibleAuxDistanceError(InfeasiblePointError):
     """Auxiliary distance at or beyond the delay-matching feasibility bound."""
 
 
@@ -111,9 +115,11 @@ def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
     ``(residual_ber, residual_ser, redundancy, total_rate, overhead, aux_rate,
     t_main, t_aux)``, the order of SweepRow's columns after p_e. It raises
     InfeasibleAuxDistanceError when the auxiliary distance is not strictly below
-    the bound, where the matching rate would diverge or turn negative. The inputs
-    are not checked here: ``plan`` takes them from a LinkParams, ``scenario.sweep``
-    from a Scenario and a checked p_e.
+    the bound, where the matching rate would diverge or turn negative, and
+    InfeasiblePointError naming the main distance when R > 0 and the rate's
+    denominator overflows, so that the rate is 0. The inputs are not checked
+    here: ``plan`` takes them from a LinkParams, ``scenario.sweep`` from a
+    Scenario and a checked p_e.
     """
     bits = k * s
     d = _hamming_distance(bits, code_rate)
@@ -138,8 +144,11 @@ def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
             rate = t_aux = 0.0
         else:
             rate = r * s * LIGHT_SPEED * main_rate / denom  # lands both lanes together
-            if rate <= 0:
-                raise ValueError("auxiliary lane required: redundancy > 0 but its rate is 0")
+            if rate <= 0:  # R_F*C_main*(d_main - d_aux) overflowed to inf
+                raise InfeasiblePointError(
+                    f"auxiliary lane required: redundancy {r} > 0 but its matched rate is 0 "
+                    f"at main distance {main_distance} m"
+                )
             t_aux = r * s / (code_rate * rate) + aux_distance / LIGHT_SPEED
         total_rate = code_rate * k / (k + r)
         return pb, ps, r, total_rate, 1.0 - total_rate, rate, t_main, t_aux

@@ -27,9 +27,9 @@ Sweep output is a CSV with exactly the header
     d_main_cm,p_e,P_b,P_s,R,R_T,theta,C_aux_bps,T_main_s,T_aux_s
 
 one row per feasible grid distance. A grid point whose auxiliary distance
-breaks the feasibility bound becomes a recorded row error and the sweep
-continues. Floats are serialised with repr() so files re-parse to
-identical values.
+breaks the feasibility bound, or whose matched auxiliary rate underflows to 0,
+becomes a recorded row error and the sweep continues. Floats are serialised
+with repr() so files re-parse to identical values.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import get_type_hints
 from .bertable import BerTable, rewrite
 from .fec import FecParams, check_probability, check_seed, is_integer, snap
 from .planner import (
-    InfeasibleAuxDistanceError, LinkParams, grid_kernel, main_rate_from_baud, plan,
+    InfeasiblePointError, LinkParams, grid_kernel, main_rate_from_baud, plan,
 )
 
 AUX_POLICIES = ("fixed", "equal_to_main")
@@ -264,7 +264,7 @@ class RowError:
 def _plans(sc: Scenario, table: BerTable, interpolate: bool, errors: list[RowError], plan_point):
     """The grid walk: yield ``(grid index, d, p_e, plan_point(d, p_e))`` for each feasible
     grid distance, in order, and append a RowError to ``errors`` for each distance where
-    ``plan_point`` raises InfeasibleAuxDistanceError. ``sweep`` plans each point with one
+    ``plan_point`` raises InfeasiblePointError. ``sweep`` plans each point with one
     ``planner.grid_kernel`` and calls no ``plan``; ``simulate`` calls ``plan`` through the
     module global, so a caller can wrap or replace ``scenario.plan`` to see every call of a
     simulation."""
@@ -272,7 +272,7 @@ def _plans(sc: Scenario, table: BerTable, interpolate: bool, errors: list[RowErr
         p_e = table.lookup(sc.channel, sc.modulation, d, interpolate=interpolate)
         try:
             planned = plan_point(d, p_e)
-        except InfeasibleAuxDistanceError as exc:
+        except InfeasiblePointError as exc:
             errors.append(RowError(d_main_cm=d, message=str(exc)))
             continue
         yield i, d, p_e, planned

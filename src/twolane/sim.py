@@ -165,11 +165,12 @@ def run(cfg: SimConfig) -> SimReport:
 
         for b0 in range(0, len(kept), per_block):
             block = kept[b0 : b0 + per_block].tolist()
-            stacked = tuple(p.tobytes() for p in natives[block].transpose(1, 0, 2))
+            # at their final size, from a list or a star-unpack, as codec.encode builds its rows
+            stacked = tuple([p.tobytes() for p in natives[block].transpose(1, 0, 2)])
             coded = encode(Generation(symbols=stacked, generation_id=first + block[0]), coeffs)
             for b, (i, row) in enumerate(zip(block, alive[block].tolist())):
                 cut = itemgetter(slice(b * length, (b + 1) * length))
-                sent = tuple(map(cut, stacked))
+                sent = (*map(cut, stacked),)
                 # tuple.__new__ builds each ReceivedSymbol without a Python-level call
                 natives_in = zip(repeat("native"), compress(range(k), row), compress(sent, row))
                 coded_in = zip(repeat("coded"), range(r), map(cut, coded))

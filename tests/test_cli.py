@@ -132,6 +132,39 @@ def test_sweep_rejects_a_main_rate_whose_plan_is_not_finite(workdir, code_rate, 
     assert not out.exists()
 
 
+FAR_POINT_WARNING = (
+    "warning: d_main=1e+299 cm skipped: auxiliary lane required: redundancy 18 > 0 but its "
+    "matched rate is 0 at main distance 1e+297 m\n"
+)
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate", "plan"])
+def test_a_point_whose_aux_rate_underflows_is_a_row_error(tmp_path, command, capsys):
+    # at 1e299 cm, R_F*C_main*(d_main - d_aux) overflows, so the matched rate is 0 though
+    # R = 18: the point is skipped with a warning naming it, and the 650 cm row is written
+    (tmp_path / "ber.csv").write_text(
+        "channel_id,modulation,distance_cm,p_e\nB,16PSK,650,0.2\nB,16PSK,1e299,0.2\n", "utf-8"
+    )
+    scn, out = tmp_path / "far.scn", tmp_path / "out.csv"
+    scn.write_text(
+        scenario_text(d_start=650, d_stop=1e299, d_step=1e299, extra="ber_table = ber.csv"),
+        "utf-8",
+    )
+    args = [command, "--scenario", str(scn), "--out", str(out)]
+    if command == "plan":  # a one-point sweep of the far point alone: every point skipped
+        assert cli.main([*args, "--d-main-cm", "1e299"]) == 2
+        infeasible = "error: every sweep point is infeasible\n"
+        assert capsys.readouterr() == ("", FAR_POINT_WARNING + infeasible)
+        assert not out.exists()
+        return
+    if command == "simulate":
+        args += ["--generations", "3"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr() == (f"wrote 1 rows to {out}\n", FAR_POINT_WARNING)
+    lines = out.read_text("utf-8").splitlines()
+    assert len(lines) == 2 and lines[1].startswith("650.0,0.2,")
+
+
 def test_sweep_writes_csv(workdir, capsys):
     out = workdir / "out.csv"
     rc = cli.main(["sweep", "--scenario", str(workdir / "scn.scn"), "--out", str(out)])

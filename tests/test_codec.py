@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -390,3 +391,37 @@ def test_decode_rejects_ragged_payloads():
     )
     with pytest.raises(ValueError, match="equal length"):
         codec.decode(received, c, 2)
+
+
+# ------------------------------------------------------------------------ memory
+
+
+def arenas_allocated(capfd) -> int | None:
+    """pymalloc's "arenas allocated current", or None when pymalloc is not in use."""
+    capfd.readouterr()
+    sys._debugmallocstats()  # writes to the C-level stderr
+    found = re.search(r"arenas allocated current\s*=\s*([\d,]+)", capfd.readouterr().err)
+    return int(found.group(1).replace(",", "")) if found else None
+
+
+def test_encode_over_the_simulate_shapes_takes_no_new_arena(capfd):
+    """30k encodes at the shapes ``scenario.simulate`` makes (K = 30, R = 0..28, 1 to 10
+    stacked 8-byte payloads) leave pymalloc's arena count unchanged. A tuple built by
+    ``tuple()`` over a generator grows by realloc, and here that took two new 1 MiB
+    arenas."""
+    rng = np.random.default_rng(10)
+    coeffs = [codec.row_reduce(codec.make_coefficients(30, r, seed=r)) for r in range(29)]
+    gens = [Generation(tuple([rng.bytes(8 * b) for _ in range(30)])) for b in range(1, 11)]
+    for c in coeffs:
+        for gen in gens:
+            codec.encode(gen, c)
+    # CPython 3.11 keeps up to 2000 freed 20-item tuples (R = 20's rows) that it never
+    # hands out again; fill that list first, so that it is not counted as growth
+    for _ in range(2000):
+        tuple([None] * 20)
+    before = arenas_allocated(capfd)
+    if before is None:
+        pytest.skip("pymalloc is not in use (PYTHONMALLOC=malloc)")
+    for i in range(30_000):
+        codec.encode(gens[i % 10], coeffs[i % 29])
+    assert arenas_allocated(capfd) == before

@@ -5,46 +5,32 @@ from hypothesis import strategies as st
 
 from twolane import gf256
 
-from conftest import gf_inv_ref, gf_mul_ref, matmul_ref
+from conftest import REF_MUL, gf_inv_ref, gf_mul_ref, matmul_ref
 
 
 def test_mul_identity_and_annihilator_all_values():
-    for a in range(256):
-        assert gf256.mul(a, 0x01) == a
-        assert gf256.mul(0x01, a) == a
-        assert gf256.mul(a, 0x00) == 0
-        assert gf256.mul(0x00, a) == 0
+    identity = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(gf256.MUL[:, 0x01], identity)
+    assert np.array_equal(gf256.MUL[0x01], identity)
+    assert not gf256.MUL[:, 0x00].any() and not gf256.MUL[0x00].any()
 
 
 def test_mul_matches_bruteforce_on_key_and_random_pairs():
-    assert gf256.mul(0x53, 0xCA) == 0x01 == gf_mul_ref(0x53, 0xCA)
+    assert gf256.MUL[0x53, 0xCA] == 0x01 == gf_mul_ref(0x53, 0xCA)
     rng = np.random.default_rng(1)
     for _ in range(5000):
         a, b = (int(x) for x in rng.integers(0, 256, 2))
-        assert gf256.mul(a, b) == gf_mul_ref(a, b)
-
-
-def test_mul_range_checks():
-    with pytest.raises(ValueError):
-        gf256.mul(256, 1)
-    with pytest.raises(ValueError):
-        gf256.mul(1, -1)
+        assert gf256.MUL[a, b] == gf_mul_ref(a, b)
+    # every pair: the table the codec reads against the carry-less-reduce oracle's table
+    assert gf256.MUL.dtype == np.uint8 and np.array_equal(gf256.MUL, REF_MUL)
+    assert np.array_equal(gf256.MUL_FLAT, REF_MUL.reshape(-1))
 
 
 def test_inv_examples():
-    assert gf256.inv(0x01) == 0x01
-    assert gf256.inv(0x53) == 0xCA == gf_inv_ref(0x53)
-
-
-def test_inv_zero_rejected():
-    with pytest.raises(ZeroDivisionError, match="no inverse for zero"):
-        gf256.inv(0)
-
-
-def test_inv_range_check():
-    for a in (256, -1):
-        with pytest.raises(ValueError, match=rf"^field elements must be in \[0, 255\], got {a}$"):
-            gf256.inv(a)
+    assert gf256.INV_LIST[0x01] == 0x01
+    assert gf256.INV_LIST[0x53] == 0xCA == gf_inv_ref(0x53)
+    assert gf256.INV_LIST[0] == 0  # a placeholder: zero has no inverse
+    assert len(gf256.INV_LIST) == 256 and {type(x) for x in gf256.INV_LIST} == {int}
 
 
 def test_every_nonzero_element_has_exactly_one_inverse():
@@ -52,7 +38,8 @@ def test_every_nonzero_element_has_exactly_one_inverse():
     ones_per_row = (gf256.MUL[1:, 1:] == 1).sum(axis=1)
     assert np.all(ones_per_row == 1)
     for a in range(1, 256):
-        assert gf256.mul(a, gf256.inv(a)) == 1
+        assert gf256.MUL[a, gf256.INV_LIST[a]] == 1
+    assert gf256.INV_LIST[1:] == [gf_inv_ref(a) for a in range(1, 256)]
 
 
 def test_field_axioms_on_random_triples():

@@ -7,11 +7,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twolane import codec, planner, scenario, sim
-from twolane.bertable import load_builtin_table, parse_ber_table
+from twolane.bertable import BerTableError, load_builtin_table, parse_ber_table
 from twolane.scenario import (
     ScenarioError,
     SweepRow,
@@ -589,3 +589,84 @@ def test_simulate_skew_matches_analytic_for_other_aux_rate(monkeypatch):
     assert row.redundancy == lp.redundancy > 0
     assert row.mean_lane_skew_s == pytest.approx(abs(lp.t_main - lp.t_aux), abs=1e-12)
     assert row.mean_lane_skew_s > 1e-12
+
+
+# ------------------------------------------------------- every grid point a row or an error
+
+positive = st.floats(min_value=5e-324, allow_infinity=False)  # every positive finite float
+# the whole range by decade, as often near 1 as near the ends
+by_decade = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, 307))
+anywhere = st.one_of(st.just(0.0), positive, by_decade)
+# mostly in [0, 1], where 0.2 needs redundancy at K = 30, s = 8 and R_F = 0.8
+error_rates = st.one_of(
+    st.floats(0.0, 1.0), st.just(0.2), st.sampled_from([0.0, 1.0, 0.5, -0.5, 1.5, math.nan])
+)
+SCENARIO_KEY_OR_LINE = re.compile(
+    r"scn: (key '\w+'|(" + "|".join(scenario._KEYS) + r") |line \d+)"
+)
+
+
+@st.composite
+def scenario_and_table_texts(draw):
+    """Scenario text whose grid of 1 to 3 points, step, auxiliary distance and main rate
+    are drawn from the whole positive float range, and a BER table text with one point at
+    each grid distance. A sum past the largest float is written as inf."""
+    # or far enough that R_F*C_main*d_main can overflow and the matched rate become 0
+    start = draw(st.one_of(anywhere, st.floats(1e295, 1e308)))
+    step = draw(st.one_of(positive, by_decade))
+    n = draw(st.integers(1, 3))
+    stop = start + (n - 1) * step
+    aux = draw(st.one_of(st.none(), anywhere))
+    lines = [
+        f"K = {draw(st.integers(1, 64))}",
+        f"s = {draw(st.integers(1, 16))}",
+        f"fec_code_rate = {draw(st.sampled_from([1.0, 0.8, 0.5]) | st.floats(0.05, 1.0))!r}",
+        "channel = B",
+        "modulation = M",
+        f"main_rate_bps = {draw(st.one_of(positive, by_decade, st.floats(1e3, 1e15)))!r}",
+        f"d_main_start_cm = {start!r}",
+        f"d_main_stop_cm = {stop!r}",
+        f"d_main_step_cm = {step!r}",
+        "d_aux_policy = equal_to_main" if aux is None else f"d_aux_policy = fixed\nd_aux_cm = {aux!r}",
+    ]
+    grid = [start + i * step for i in range(n)]
+    points = [f"B,M,{d!r},{draw(error_rates)!r}" for d in grid]
+    return "\n".join(lines) + "\n", "channel_id,modulation,distance_cm,p_e\n" + "\n".join(points)
+
+
+def far_point_texts(p_e=0.2):
+    """The far point that once ended the whole sweep: at 1e299 cm the matched rate is 0."""
+    scn = scenario_text(d_start=650, d_stop=1e299, d_step=1e299, channel="B", modulation="M")
+    return scn, f"channel_id,modulation,distance_cm,p_e\nB,M,650.0,{p_e}\nB,M,1e+299,{p_e}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@example(far_point_texts())
+@given(scenario_and_table_texts())
+def test_sweep_and_simulate_return_finite_rows_or_raise_a_named_input_error(texts):
+    """From the smallest positive float to the largest, a scenario and its BER table are
+    either rejected naming a key or a line, or every grid point becomes a finite row or a
+    row error, in ``sweep`` and ``simulate`` alike, and the sweep's CSV reads back equal."""
+    scn_text, ber_text = texts
+    try:
+        sc = parse_scenario(scn_text, source="scn")
+    except ScenarioError as exc:
+        assert SCENARIO_KEY_OR_LINE.match(str(exc)), exc
+        return
+    try:
+        table = parse_ber_table(ber_text, source="ber")
+    except BerTableError as exc:
+        assert re.match(r"ber: row \d+: ", str(exc)), exc
+        return
+    rows, errors = sweep(sc, table)
+    sim_rows, sim_errors = simulate(sc, table, generations=2)
+    grid = sc.distances_cm()
+    assert sorted([r.d_main_cm for r in rows] + [e.d_main_cm for e in errors]) == sorted(grid)
+    assert sim_errors == errors
+    assert [r.d_main_cm for r in sim_rows] == [r.d_main_cm for r in rows]
+    for row in [*rows, *sim_rows]:
+        assert all(map(math.isfinite, dataclasses.astuple(row))), row
+    with tempfile.TemporaryDirectory() as tmp:  # not tmp_path: the body reruns per example
+        path = os.path.join(tmp, "sweep.csv")
+        write_sweep_csv(rows, path)
+        assert read_sweep_csv(path) == rows
