@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -607,16 +608,18 @@ SCENARIO_KEY_OR_LINE = re.compile(
 
 
 @st.composite
-def scenario_and_table_texts(draw):
+def scenario_texts_and_error_rates(draw):
     """Scenario text whose grid of 1 to 3 points, step, auxiliary distance and main rate
-    are drawn from the whole positive float range, and a BER table text with one point at
-    each grid distance. A sum past the largest float is written as inf."""
+    are drawn from the whole positive float range (a sum past the largest float is written
+    as inf), and the error rates of its BER table's points."""
     # or far enough that R_F*C_main*d_main can overflow and the matched rate become 0
     start = draw(st.one_of(anywhere, st.floats(1e295, 1e308)))
     step = draw(st.one_of(positive, by_decade))
-    n = draw(st.integers(1, 3))
-    stop = start + (n - 1) * step
+    stop = start + draw(st.integers(0, 2)) * step
     aux = draw(st.one_of(st.none(), anywhere))
+    aux_lines = ["d_aux_policy = equal_to_main"] if aux is None else [
+        "d_aux_policy = fixed", f"d_aux_cm = {aux!r}"
+    ]
     lines = [
         f"K = {draw(st.integers(1, 64))}",
         f"s = {draw(st.integers(1, 16))}",
@@ -627,40 +630,40 @@ def scenario_and_table_texts(draw):
         f"d_main_start_cm = {start!r}",
         f"d_main_stop_cm = {stop!r}",
         f"d_main_step_cm = {step!r}",
-        "d_aux_policy = equal_to_main" if aux is None else f"d_aux_policy = fixed\nd_aux_cm = {aux!r}",
+        *aux_lines,
     ]
-    grid = [start + i * step for i in range(n)]
-    points = [f"B,M,{d!r},{draw(error_rates)!r}" for d in grid]
-    return "\n".join(lines) + "\n", "channel_id,modulation,distance_cm,p_e\n" + "\n".join(points)
+    return "\n".join(lines) + "\n", draw(st.lists(error_rates, min_size=3, max_size=3))
 
 
-def far_point_texts(p_e=0.2):
-    """The far point that once ended the whole sweep: at 1e299 cm the matched rate is 0."""
-    scn = scenario_text(d_start=650, d_stop=1e299, d_step=1e299, channel="B", modulation="M")
-    return scn, f"channel_id,modulation,distance_cm,p_e\nB,M,650.0,{p_e}\nB,M,1e+299,{p_e}"
+def ber_table_text(distances, error_rates) -> str:
+    """A BER table with one point per distance, the error rates taken in turn."""
+    points = [f"B,M,{d!r},{p!r}" for d, p in zip(distances, itertools.cycle(error_rates))]
+    return "channel_id,modulation,distance_cm,p_e\n" + "\n".join(points) + "\n"
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@example(far_point_texts())
-@given(scenario_and_table_texts())
-def test_sweep_and_simulate_return_finite_rows_or_raise_a_named_input_error(texts):
-    """From the smallest positive float to the largest, a scenario and its BER table are
-    either rejected naming a key or a line, or every grid point becomes a finite row or a
-    row error, in ``sweep`` and ``simulate`` alike, and the sweep's CSV reads back equal."""
-    scn_text, ber_text = texts
+# the far point that once ended the whole sweep: at 1e299 cm the matched rate is 0
+@example((scenario_text(d_start=650, d_stop=1e299, d_step=1e299, modulation="M"), [0.2]))
+@given(scenario_texts_and_error_rates())
+def test_sweep_and_simulate_return_finite_rows_or_raise_a_named_input_error(case):
+    """From the smallest positive float to the largest, a scenario and a BER table holding
+    its grid are either rejected naming a key or a line, or every grid point becomes a
+    finite row or a row error, in ``sweep`` and ``simulate`` alike, and the sweep's CSV
+    reads back equal."""
+    scn_text, p_es = case
     try:
         sc = parse_scenario(scn_text, source="scn")
     except ScenarioError as exc:
         assert SCENARIO_KEY_OR_LINE.match(str(exc)), exc
         return
+    grid = sc.distances_cm()
     try:
-        table = parse_ber_table(ber_text, source="ber")
+        table = parse_ber_table(ber_table_text(grid, p_es), source="ber")
     except BerTableError as exc:
         assert re.match(r"ber: row \d+: ", str(exc)), exc
         return
     rows, errors = sweep(sc, table)
     sim_rows, sim_errors = simulate(sc, table, generations=2)
-    grid = sc.distances_cm()
     assert sorted([r.d_main_cm for r in rows] + [e.d_main_cm for e in errors]) == sorted(grid)
     assert sim_errors == errors
     assert [r.d_main_cm for r in sim_rows] == [r.d_main_cm for r in rows]
