@@ -13,10 +13,10 @@ The correction budget in the residual-BER expression is deliberately the
 rate-scaled R_F*t, which is how this model family defines it; see the
 README note on that convention. A residual BER that would come out
 negative means the budget covers every expected error bit and is clamped
-to exactly zero (and then the symbol error rate is zero too). Each formula
-but t's is one unchecked plain-number function that ``derive`` and
-``planner.grid_kernel`` share; ``correctable_bits`` is public and checks its
-distance.
+to exactly zero (and then the symbol error rate is zero too). ``chain`` is
+the one place these formulas are written: ``derive`` and ``planner.grid_kernel``
+call it once per shape (K, s, R_F) and its residual function once per p_e. It
+checks nothing; ``FecParams`` rejects every shape whose quotient K*s/R_F overflows.
 
 The decode-failure model is here too: with K natives erased i.i.d. at P_s
 and R coded symbols, a generation fails with ``binomial_tail_above(K, P_s, R)``.
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 # The simulator's main-lane error models; both apply the residual-error model below.
@@ -85,6 +86,9 @@ class FecParams:
         check_count("s", self.s, 1)
         if not 0 < self.code_rate <= 1:
             raise ValueError("code_rate must be in (0, 1]")
+        bits = self.k * self.s  # compared exactly: past the float range, K*s/R_F raises
+        if not (bits <= sys.float_info.max and math.isfinite(bits / self.code_rate)):
+            raise ValueError(f"code_rate must keep d = K*s/R_F - K*s finite, got {self.code_rate!r}")
         check_probability("bit_error_rate", self.bit_error_rate)
 
 
@@ -103,38 +107,30 @@ def correctable_bits(delta_min: int) -> int:
     return max(0, (delta_min - 1) // 2)
 
 
-def derive(params: FecParams) -> FecDerived:
-    """Run the four-stage chain on one parameter set."""
-    bits = params.k * params.s
-    d = _hamming_distance(bits, params.code_rate)
+def chain(k: int, s: int, code_rate: float):
+    """The chain for one shape, unchecked (FecParams checks it): ``(d, t, residual)``,
+    where ``residual(p_e)`` gives ``(residual_ber, residual_ser)``."""
+    bits = k * s
+    d = math.floor(snap(bits / code_rate - bits))
     t = correctable_bits(d)
-    pb = _residual_ber(bits, params.bit_error_rate, _correction_budget(params.code_rate, t))
-    return FecDerived(
-        hamming_distance=d,
-        correctable_bits=t,
-        residual_ber=pb,
-        residual_ser=_residual_ser(pb, params.s),
-    )
+    budget = correction_budget(code_rate, t)
+
+    def residual(bit_error_rate: float) -> tuple[float, float]:
+        pb = max(0.0, (bits * bit_error_rate - budget) / bits)
+        return pb, 1.0 - (1.0 - pb) ** s
+
+    return d, t, residual
 
 
-# The formulas that derive and planner.grid_kernel share, unchecked. ``bits`` is K*s.
+def derive(params: FecParams) -> FecDerived:
+    """The chain at one point."""
+    d, t, residual = chain(params.k, params.s, params.code_rate)
+    return FecDerived(d, t, *residual(params.bit_error_rate))
 
 
-def _hamming_distance(bits: int, code_rate: float) -> int:
-    return math.floor(snap(bits / code_rate - bits))
-
-
-def _correction_budget(code_rate: float, correctable: int) -> float:
+def correction_budget(code_rate: float, correctable: int) -> float:
     """R_F*t, the rate-scaled budget of the residual BER; ``sim.run`` floors it."""
     return code_rate * correctable
-
-
-def _residual_ber(bits: int, bit_error_rate: float, budget: float) -> float:
-    return max(0.0, (bits * bit_error_rate - budget) / bits)
-
-
-def _residual_ser(p_bit: float, s: int) -> float:
-    return 1.0 - (1.0 - p_bit) ** s
 
 
 def binomial_tail_above(k: int, p: float, r: int) -> float:

@@ -12,11 +12,11 @@ symbols. From the FEC residual statistics (``fec``) the planner derives:
     below  K*s*c / (R_F*C_main) + d_main  (``aux_distance_bound``).
 
 ``grid_kernel`` is the one planning path. For a link shape (K, s, R_F, C_main)
-it computes the Hamming distance, the budget R_F*t and the lane terms once and
-returns a function that plans one (p_e, d_main, d_aux) point to plain numbers,
-with each formula written out in its operation order. ``plan`` is its
-one-point case, and ``scenario.sweep`` builds no LinkParams or LinkPlan per
-point, so both give the same floats.
+it runs ``fec.chain`` and computes the lane terms once, and returns a function
+that plans one (p_e, d_main, d_aux) point to plain numbers: the chain's residual
+function, then the lane formulas, each written out in its operation order. ``plan``
+is its one-point case, as ``fec.derive`` is the chain's, and ``scenario.sweep``
+builds no LinkParams or LinkPlan per point, so every path gives the same floats.
 
 All distances are metres, rates bits/second, times seconds. Everything is
 a pure function of immutable inputs; sweep points can be planned in
@@ -28,10 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fec import (  # derive is not called here; bench/tracer.py wraps planner.derive
-    FecDerived, FecParams, _correction_budget, _hamming_distance, _residual_ber,
-    _residual_ser, check_count, correctable_bits, derive, snap,
-)
+# derive is not called here; bench/tracer.py wraps planner.derive
+from .fec import FecDerived, FecParams, chain, check_count, derive, snap
 
 LIGHT_SPEED = 3e8  # m/s, fixed propagation speed for both lanes
 
@@ -121,17 +119,13 @@ def grid_kernel(k: int, s: int, code_rate: float, main_rate: float):
     here: ``plan`` takes them from a LinkParams, ``scenario.sweep`` from a
     Scenario and a checked p_e.
     """
-    bits = k * s
-    d = _hamming_distance(bits, code_rate)
-    t = correctable_bits(d)
-    budget = _correction_budget(code_rate, t)
+    d, t, residual = chain(k, s, code_rate)
     fec_rate = code_rate * main_rate
     t_natives = k * s / fec_rate  # transmission time of the natives on the main lane
     reach = LIGHT_SPEED * k * s
 
     def point(p_e: float, main_distance: float, aux_distance: float) -> tuple:
-        pb = _residual_ber(bits, p_e, budget)
-        ps = _residual_ser(pb, s)
+        pb, ps = residual(p_e)
         r = max(0, math.ceil(snap(ps * k)))  # the fewest coded symbols covering P_s*K
         denom = fec_rate * (main_distance - aux_distance) + reach
         if denom <= 0:

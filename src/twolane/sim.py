@@ -59,7 +59,7 @@ from .codec import (
     make_coefficients,
     row_reduce,
 )
-from .fec import ERROR_MODES, _correction_budget, check_count, check_probability, check_seed, snap
+from .fec import ERROR_MODES, check_count, check_probability, check_seed, correction_budget, snap
 from .planner import LinkParams, LinkPlan
 
 CHUNK = 16  # generations per random stream; part of the stream contract
@@ -141,7 +141,7 @@ def run(cfg: SimConfig) -> SimReport:
     streams = (np.random.SeedSequence(seed, spawn_key=(distance, key)) for key in count())
     coeffs = row_reduce(make_coefficients(k, r, seed=next(streams)))
     # bit-level only
-    budget = math.floor(snap(_correction_budget(fec.code_rate, cfg.plan.fec.correctable_bits)))
+    budget = math.floor(snap(correction_budget(fec.code_rate, cfg.plan.fec.correctable_bits)))
     per_block = max(1, BLOCK_BYTES // length)
     report = SimReport(sent_generations=n)
     histogram = report.received_histogram

@@ -132,6 +132,20 @@ def test_sweep_rejects_a_main_rate_whose_plan_is_not_finite(workdir, code_rate, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("main_rate", [1e285, 8e11], ids=["OverflowError", "blamed-main-rate"])
+def test_sweep_rejects_a_code_rate_whose_distance_overflows(workdir, main_rate, capsys):
+    # K*s/R_F overflows; what the sweep did before FecParams had this rule is in the id
+    scn, out = workdir / "rate.scn", workdir / "out.csv"
+    text = scenario_text(main_rate=main_rate, extra="ber_table = ber.csv")
+    scn.write_text(text.replace("fec_code_rate = 0.8", "fec_code_rate = 1e-310"), "utf-8")
+    assert cli.main(["sweep", "--scenario", str(scn), "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: {scn}: fec_code_rate must keep d = K*s/R_F - K*s finite, got 1e-310\n",
+    )
+    assert not out.exists()
+
+
 FAR_POINT_WARNING = (
     "warning: d_main=1e+299 cm skipped: auxiliary lane required: redundancy 18 > 0 but its "
     "matched rate is 0 at main distance 1e+297 m\n"

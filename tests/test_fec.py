@@ -229,6 +229,10 @@ def test_binomial_tail_beyond_float_coefficients():
         dict(k=2.5),
         dict(s=8.5),
         dict(k=True),
+        # K*s/R_F overflows, so the Hamming distance is no integer; a K*s past the float
+        # range raised OverflowError where it was divided
+        dict(code_rate=1e-310),
+        dict(k=10**400),
     ],
 )
 def test_fec_params_validation(kwargs):

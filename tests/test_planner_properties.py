@@ -1,7 +1,8 @@
 """Properties: every planning path gives exactly the floats of the written-out chain.
 
-``scenario.sweep`` and ``planner.plan`` run ``planner.grid_kernel``; ``fec.derive`` and
-``planner.aux_distance_bound`` share its formula functions. The reference is
+``scenario.sweep`` and ``planner.plan`` run ``planner.grid_kernel``, which runs
+``fec.chain``; ``fec.derive`` is the chain's one-point case, and ``planner.aux_distance_bound``
+computes the bound in the kernel's error message. The reference is
 ``conftest.reference_chain``, the paper's chain written out with no package code, and
 every float is compared with ``==``: a change of operation order in one formula
 changes the shipped CSVs, and these properties catch it.
@@ -157,14 +158,25 @@ any_main_rates = st.one_of(
 )
 
 
+# every code rate in (0, 1], the subnormals among them; FecParams rejects those for which
+# K*s/R_F overflows, so the Hamming distance would not be an integer
+any_code_rates = st.one_of(
+    st.sampled_from([5e-324, 1e-310, sys.float_info.min, 1.0]),
+    st.floats(5e-324, 1.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, -1)),
+)
+
+
 @PROPERTY
 # one bit per generation, one ulp below the bound: the matched rate's denominator is at its
 # least, so C_aux = R*s*c*C_main / denom is at its largest; 1e299 would overflow it, and
 # 1.7e292 is just inside the rule
 @example(1, 1, 1.0, 1e299, 1.0, 0.0, 1.0 - 2.0**-52)
 @example(1, 1, 1.0, 1.7e292, 1.0, 0.0, 1.0 - 2.0**-52)
+# K*s/R_F overflows, so the distance is no integer, while every lane term stays finite
+@example(30, 8, 1e-310, 1e285, 0.2, 6.5, 0.0)
 @given(
-    st.integers(1, 500), st.integers(1, 16), code_rates, any_main_rates, bers,
+    st.integers(1, 500), st.integers(1, 16), any_code_rates, any_main_rates, bers,
     st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
     st.one_of(
         st.sampled_from([-1.0, 0.0, 1.0]),
@@ -174,17 +186,17 @@ any_main_rates = st.one_of(
 )
 def test_plan_returns_finite_values_or_raises_value_error(k, s, code_rate, main_rate, p_e,
                                                           main_distance, where):
-    """From the smallest positive main rate to the largest finite one, a link is either
+    """From the smallest positive code and main rates to the largest, a link is either
     rejected where it is built or planned to finite values. The auxiliary distance is the
     main one (``where`` = -1) or ``where`` times the feasibility bound; just below the
     bound, the matched rate's denominator is smallest."""
-    fec_params = FecParams(k=k, s=s, code_rate=code_rate, bit_error_rate=p_e)
     if code_rate * main_rate:
         bound = bound_m(k, s, code_rate, main_rate) + main_distance
     else:  # R_F*C_main underflows; LinkParams rejects the rate
         bound = math.inf
     aux_distance = main_distance if where < 0 else where * bound if where else 0.0
     try:
+        fec_params = FecParams(k=k, s=s, code_rate=code_rate, bit_error_rate=p_e)
         lp = planner.plan(LinkParams(fec_params, main_rate, main_distance, aux_distance))
     except ValueError:
         return

@@ -122,6 +122,11 @@ def test_parse_scenario_rejects_bad_grid():
         ("s = 8", "s = 0", "s must be an integer >= 1, got 0"),
         ("fec_code_rate = 0.8", "fec_code_rate = 1.5", "fec_code_rate must be in (0, 1]"),
         ("fec_code_rate = 0.8", "fec_code_rate = 0", "fec_code_rate must be in (0, 1]"),
+        (
+            "fec_code_rate = 0.8",
+            "fec_code_rate = 1e-310",
+            "fec_code_rate must keep d = K*s/R_F - K*s finite, got 1e-310",
+        ),
         ("d_aux_cm = 150", "d_aux_cm = -5", "d_aux_cm must be >= 0"),
         ("d_main_start_cm = 200", "d_main_start_cm = -50", "d_main_start_cm must be >= 0"),
         ("main_rate_bps = 800000000000.0", "main_rate_bps = 0", "main_rate_bps must be > 0"),
@@ -164,6 +169,7 @@ def test_parse_scenario_rejects_bad_grid():
         "zero-s",
         "code-rate-above-1",
         "zero-code-rate",
+        "overflowing-distance",
         "negative-aux-distance",
         "negative-start",
         "zero-rate",
@@ -251,6 +257,14 @@ def test_code_built_scenario_names_the_key(field, value, message):
     sc = parse_scenario(scenario_text())
     with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(sc, **{field: value})
+
+
+def test_code_built_scenario_with_k_past_the_float_range_names_the_code_rate():
+    # no scenario text parses to such a K; built in code, it raised OverflowError
+    sc = parse_scenario(scenario_text())
+    message = "fec_code_rate must keep d = K*s/R_F - K*s finite, got 0.8"
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(sc, k=10**400)
 
 
 def test_grid_size_cap():
@@ -602,6 +616,14 @@ anywhere = st.one_of(st.just(0.0), positive, by_decade)
 error_rates = st.one_of(
     st.floats(0.0, 1.0), st.just(0.2), st.sampled_from([0.0, 1.0, 0.5, -0.5, 1.5, math.nan])
 )
+# every code rate in (0, 1], by decade too, the subnormals among them; below about
+# K*s/1.8e308 the Hamming distance K*s/R_F - K*s overflows
+code_rates = st.one_of(
+    st.sampled_from([1.0, 0.8, 0.5]),
+    st.floats(0.05, 1.0),
+    st.floats(5e-324, 1.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-323, -1)),
+)
 SCENARIO_KEY_OR_LINE = re.compile(
     r"scn: (key '\w+'|(" + "|".join(scenario._KEYS) + r") |line \d+)"
 )
@@ -623,7 +645,7 @@ def scenario_texts_and_error_rates(draw):
     lines = [
         f"K = {draw(st.integers(1, 64))}",
         f"s = {draw(st.integers(1, 16))}",
-        f"fec_code_rate = {draw(st.sampled_from([1.0, 0.8, 0.5]) | st.floats(0.05, 1.0))!r}",
+        f"fec_code_rate = {draw(code_rates)!r}",
         "channel = B",
         "modulation = M",
         f"main_rate_bps = {draw(st.one_of(positive, by_decade, st.floats(1e3, 1e15)))!r}",
@@ -644,6 +666,15 @@ def ber_table_text(distances, error_rates) -> str:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # the far point that once ended the whole sweep: at 1e299 cm the matched rate is 0
 @example((scenario_text(d_start=650, d_stop=1e299, d_step=1e299, modulation="M"), [0.2]))
+# a code rate whose Hamming distance overflows: the sweep once raised OverflowError
+@example(
+    (
+        scenario_text(main_rate=1e285, modulation="M").replace(
+            "fec_code_rate = 0.8", "fec_code_rate = 1e-310"
+        ),
+        [0.2],
+    )
+)
 @given(scenario_texts_and_error_rates())
 def test_sweep_and_simulate_return_finite_rows_or_raise_a_named_input_error(case):
     """From the smallest positive float to the largest, a scenario and a BER table holding
